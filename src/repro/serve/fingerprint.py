@@ -87,6 +87,7 @@ class _RegisterCanon:
 
     def __init__(self):
         self._ids = {}
+        self._next = {}  # bank -> next free canonical number
 
     def __call__(self, register):
         if register is None:
@@ -95,12 +96,12 @@ class _RegisterCanon:
             return str(register)
         if register.is_constant:
             return f"{register.bank.value}const"
-        key = register
-        assigned = self._ids.get(key)
+        assigned = self._ids.get(register)
         if assigned is None:
-            bank = register.bank.value
-            count = sum(1 for r in self._ids if r.bank is register.bank)
-            assigned = self._ids[key] = f"{bank}#{count}"
+            bank = register.bank
+            count = self._next.get(bank, 0)
+            self._next[bank] = count + 1
+            assigned = self._ids[register] = f"{bank.value}#{count}"
         return assigned
 
 
@@ -133,31 +134,20 @@ def canonical_function(fn, coarse=False):
     numbered by first appearance within that traversal (so consistent
     renamings canonicalize identically).  With ``coarse=True`` the
     schedule-affecting details that *family* members may differ in are
-    dropped: latency overrides and other annotations, immediates,
-    memory offsets, block frequencies and edge probabilities.
+    dropped (see :func:`_coarsen`).
     """
     canon = _RegisterCanon()
     blocks = []
     for block in sorted(fn.blocks, key=lambda b: b.name):
-        instrs = []
-        for instr in block.instructions:
-            row = _canonical_instruction(instr, canon)
-            if coarse:
-                row[6] = len(row[6])  # immediate count, not values
-                row[7] = []  # annotations (lat overrides) dropped
-                if row[3] is not None:
-                    row[3] = [row[3][0], None, row[3][2], row[3][3]]
-            instrs.append(row)
+        instrs = [
+            _canonical_instruction(instr, canon)
+            for instr in block.instructions
+        ]
         edges = sorted(
-            (e.dst, None if coarse or e.prob is None else round(e.prob, 9))
+            (e.dst, None if e.prob is None else round(e.prob, 9))
             for e in fn.out_edges(block.name)
         )
-        blocks.append([
-            block.name,
-            None if coarse else round(block.freq, 9),
-            instrs,
-            edges,
-        ])
+        blocks.append([block.name, round(block.freq, 9), instrs, edges])
     # Live sets: registers already seen in the stream use their canonical
     # ids; stream-absent ones are numbered afterwards in architectural
     # order (deterministic, though not rename-invariant for registers
@@ -166,7 +156,28 @@ def canonical_function(fn, coarse=False):
         label: sorted(canon(r) for r in sorted(regs))
         for label, regs in (("in", fn.live_in), ("out", fn.live_out))
     }
-    return {"blocks": blocks, "live": live}
+    form = {"blocks": blocks, "live": live}
+    return _coarsen(form) if coarse else form
+
+
+def _coarsen(form):
+    """The family view of an exact canonical form, as a new structure.
+
+    Drops latency overrides and other annotations, immediate values
+    (their count stays), memory offsets, block frequencies and edge
+    probabilities.  Register numbering is the exact form's, so both
+    request keys come from one traversal (:func:`request_keys`).
+    """
+    blocks = []
+    for name, _freq, instrs, edges in form["blocks"]:
+        rows = []
+        for row in instrs:
+            mem = row[3]
+            if mem is not None:
+                mem = [mem[0], None, mem[2], mem[3]]
+            rows.append(row[:3] + [mem, row[4], row[5], len(row[6]), []])
+        blocks.append([name, None, rows, [(dst, None) for dst, _p in edges]])
+    return {"blocks": blocks, "live": form["live"]}
 
 
 # -- feature / machine digests ------------------------------------------------
@@ -210,24 +221,41 @@ def _digest(payload):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def fingerprint(fn, features, machine):
-    """Exact cache key: hex sha256 over the full canonical request."""
+def _request_digest(form, features_view, machine):
     return _digest({
         "code": CODE_VERSION,
-        "fn": canonical_function(fn),
-        "features": features_dict(features),
+        "fn": form,
+        "features": features_view,
         "machine": machine_dict(machine),
     })
+
+
+def fingerprint(fn, features, machine):
+    """Exact cache key: hex sha256 over the full canonical request."""
+    return _request_digest(
+        canonical_function(fn), features_dict(features), machine
+    )
 
 
 def family_fingerprint(fn, features, machine):
     """Coarse near-miss key: structure + model-shaping features only."""
-    return _digest({
-        "code": CODE_VERSION,
-        "fn": canonical_function(fn, coarse=True),
-        "features": features_dict(features, family=True),
-        "machine": machine_dict(machine),
-    })
+    return _request_digest(
+        canonical_function(fn, coarse=True),
+        features_dict(features, family=True),
+        machine,
+    )
+
+
+def request_keys(fn, features, machine):
+    """``(fingerprint, family_fingerprint)`` of one request, byte-identical
+    to the two separate calls but from a single canonical traversal."""
+    form = canonical_function(fn)
+    return (
+        _request_digest(form, features_dict(features), machine),
+        _request_digest(
+            _coarsen(form), features_dict(features, family=True), machine
+        ),
+    )
 
 
 def partition_fingerprint(fn, features, machine):

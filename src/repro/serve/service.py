@@ -5,9 +5,12 @@ service resolves it through four layers, cheapest first:
 
 1. **Exact hit** — the request fingerprint
    (:func:`repro.serve.fingerprint.fingerprint`) finds a stored entry;
-   the cached :class:`OptimizeResult` is deserialized, optionally
-   re-verified against the path verifier, and returned byte-identically
-   to the cold solve that produced it.
+   the cached :class:`OptimizeResult` is deserialized (at most once per
+   process: the store's in-process front keeps the decoded object),
+   re-verified against the path verifier on every hit, and returned
+   byte-identically to the cold solve that produced it.  Hit results,
+   like a coalesced follower's, are shared between requests and must
+   be treated as read-only.
 2. **Single-flight coalescing** — concurrent duplicate requests for one
    key share a single solve: the first caller becomes the *leader*, the
    rest block on its flight and receive the same result
@@ -42,11 +45,12 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 
+from repro.ilp.status import Solution
 from repro.machine.itanium2 import ITANIUM2
 from repro.obs import core as obs
 from repro.sched.scheduler import IlpScheduler, ScheduleFeatures
 from repro.sched.verifier import verify_schedule
-from repro.serve.fingerprint import CODE_VERSION, family_fingerprint, fingerprint
+from repro.serve.fingerprint import CODE_VERSION, request_keys
 from repro.serve.store import ScheduleStore
 
 # Quality tiers worth replaying. "fallback_input" is the input schedule
@@ -137,8 +141,7 @@ class ScheduleService:
         features = features or self.default_features
         started = time.perf_counter()
         with obs.span("serve.request", routine=fn.name) as span:
-            key = fingerprint(fn, features, self.machine)
-            family = family_fingerprint(fn, features, self.machine)
+            key, family = request_keys(fn, features, self.machine)
 
             with self._flights_lock:
                 flight = self._flights.get(key)
@@ -265,14 +268,15 @@ class ScheduleService:
         return hit
 
     def _deserialize(self, key, hit, notes):
-        """Unpickle + optionally re-verify a hit; on any failure the
-        entry is quarantined and ``None`` (cold solve) returned."""
+        """Unpickle (once per resident entry) + optionally re-verify a
+        hit; on any failure the entry is quarantined and ``None`` (cold
+        solve) returned."""
         header, payload = hit
         if header.get("code_version") != CODE_VERSION:
             notes.append("entry from another code version; ignoring")
             return None
         try:
-            result = pickle.loads(payload)
+            result = self.store.decoded(key, payload, pickle.loads)
         except Exception as exc:
             notes.append(f"entry failed to deserialize: {exc}")
             self.store._quarantine(
@@ -384,7 +388,7 @@ class ScheduleService:
             notes.append("not cached (verification failed)")
             return False
         try:
-            payload = pickle.dumps(result)
+            payload = pickle.dumps(_slim(result))
         except Exception as exc:
             notes.append(f"not cached (unpicklable result: {exc})")
             return False
@@ -417,6 +421,27 @@ class ScheduleService:
         if obs.ENABLED:
             obs.counter("cache_hits_total", kind=kind)
             obs.histogram("serve_request_seconds", elapsed, kind=kind)
+
+
+def _slim(result):
+    """The copy of ``result`` the store keeps.
+
+    Hits never read the per-variable ILP assignment — most of an
+    entry's bytes — except the ``usespec`` switches behind
+    :attr:`OptimizeResult.spec_used`.  The stored ``solution`` keeps
+    status, objective, search stats and just those values.
+    """
+    solution = result.solution
+    if solution is None:
+        return result
+    values = {
+        g.usespec: solution.values[g.usespec]
+        for g in result.spec_groups
+        if g.usespec in solution.values
+    }
+    return replace(result, solution=Solution(
+        solution.status, solution.objective, values, solution.stats
+    ))
 
 
 def cached_optimize(fn, features=None, cache_dir=None, machine=ITANIUM2):

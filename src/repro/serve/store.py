@@ -31,11 +31,15 @@ Durability and integrity rules:
   :meth:`gc` (and the post-``put`` budget check) drops the
   least-recently-used entries until the store fits ``size_budget``.
 
-An in-process LRU (raw payload bytes + header) fronts the disk so a hot
-serving loop touches the filesystem only for misses and periodic mtime
-bumps.  The ``serve.store_io`` and ``serve.corrupt_entry`` fault sites
-(:mod:`repro.tools.faults`) let the chaos harness inject I/O failures
-and checksum-breaking corruption on this exact path.
+An in-process LRU fronts the disk so a hot serving loop touches the
+filesystem only for misses and periodic mtime bumps.  Each resident
+entry holds the header, the payload bytes and — once a caller asks
+through :meth:`ScheduleStore.decoded` — the decoded payload, so a hot
+entry is unpickled at most once per process.  The decoded object lives
+and dies with its bytes: ``put``, quarantine, :meth:`drop_mem` and LRU
+eviction drop both.  The ``serve.store_io`` and ``serve.corrupt_entry``
+fault sites (:mod:`repro.tools.faults`) let the chaos harness inject
+I/O failures and checksum-breaking corruption on this exact path.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -68,13 +73,27 @@ def _payload_sha(payload):
     return hashlib.sha256(payload).hexdigest()
 
 
+class _Resident:
+    """One in-process front entry: the validated header and payload
+    bytes, plus the payload decoded on first request (``None`` until
+    then)."""
+
+    __slots__ = ("header", "payload", "decoded")
+
+    def __init__(self, header, payload):
+        self.header = header
+        self.payload = payload
+        self.decoded = None
+
+
 class ScheduleStore:
     """Content-addressed schedule store with an in-process LRU front.
 
     ``size_budget`` (bytes, ``None`` = unbounded) triggers LRU eviction
-    after writes; ``mem_entries`` bounds the in-process front.  All
-    mutating operations are safe under concurrent use from multiple
-    processes sharing the directory (N daemon replicas on one cache):
+    after writes; ``mem_entries`` bounds the in-process front, and with
+    it the decoded payloads kept there.  All mutating operations are
+    safe under concurrent use from multiple processes sharing the
+    directory (N daemon replicas on one cache):
     entry writes are atomic renames, and the read-modify-write
     operations — gc/LRU eviction and family-index compaction — are
     serialized by advisory ``fcntl`` locks under ``locks/``.
@@ -84,7 +103,10 @@ class ScheduleStore:
         self.root = str(root)
         self.size_budget = size_budget
         self.mem_entries = mem_entries
-        self._mem = OrderedDict()  # key -> (header dict, payload bytes)
+        self._mem = OrderedDict()  # key -> _Resident
+        # Worker threads share the front: LRU reordering and eviction are
+        # check-then-act sequences on the OrderedDict.
+        self._mem_lock = threading.Lock()
         for sub in ("objects", "families", "tmp", "locks"):
             os.makedirs(os.path.join(self.root, sub), exist_ok=True)
 
@@ -198,15 +220,14 @@ class ScheduleStore:
         reported as misses.  I/O faults propagate as ``OSError`` for the
         service to degrade on.
         """
-        cached = self._mem.get(key)
-        if cached is not None:
-            self._mem.move_to_end(key)
+        resident = self._mem_get(key)
+        if resident is not None:
             if touch:
                 try:
                     os.utime(self._entry_path(key))
                 except OSError:
                     pass
-            return cached
+            return resident.header, resident.payload
         path = self._entry_path(key)
         if faults.fire("serve.store_io") is not None:
             raise OSError("injected store I/O fault (get)")
@@ -227,6 +248,25 @@ class ScheduleStore:
                 pass
         self._mem_put(key, header, payload)
         return header, payload
+
+    def decoded(self, key, payload, decode):
+        """``decode(payload)``, computed at most once per resident entry.
+
+        ``payload`` must be the bytes :meth:`get` just returned for
+        ``key``.  While those exact bytes are still resident in the
+        in-process front, the decoded object is kept beside them and
+        handed to every later caller — so it is shared and must be
+        treated as read-only.  Once the bytes are replaced or dropped
+        (``put``, quarantine, :meth:`drop_mem`, eviction) the next call
+        decodes afresh.  Exceptions from ``decode`` propagate and cache
+        nothing.
+        """
+        resident = self._mem.get(key)
+        if resident is None or resident.payload is not payload:
+            return decode(payload)
+        if resident.decoded is None:
+            resident.decoded = decode(payload)
+        return resident.decoded
 
     def _validate(self, key, raw):
         newline = raw.find(b"\n")
@@ -259,7 +299,8 @@ class ScheduleStore:
         return header, payload
 
     def _quarantine(self, key, path, problem):
-        self._mem.pop(key, None)
+        with self._mem_lock:
+            self._mem.pop(key, None)
         try:
             os.unlink(path)
         except OSError:
@@ -272,9 +313,9 @@ class ScheduleStore:
         """Header dict only (no payload checksum walk); ``None`` on miss
         or any validation failure.  Used for family warm-start metadata,
         where a bad sibling simply means no hint."""
-        cached = self._mem.get(key)
-        if cached is not None:
-            return cached[0]
+        resident = self._mem.get(key)
+        if resident is not None:
+            return resident.header
         path = self._entry_path(key)
         try:
             with open(path, "rb") as handle:
@@ -303,15 +344,24 @@ class ScheduleStore:
         return key in self._mem or os.path.exists(self._entry_path(key))
 
     # -- in-process LRU ------------------------------------------------------
+    def _mem_get(self, key):
+        with self._mem_lock:
+            resident = self._mem.get(key)
+            if resident is not None:
+                self._mem.move_to_end(key)
+            return resident
+
     def _mem_put(self, key, header, payload):
-        self._mem[key] = (header, payload)
-        self._mem.move_to_end(key)
-        while len(self._mem) > self.mem_entries:
-            self._mem.popitem(last=False)
+        with self._mem_lock:
+            self._mem[key] = _Resident(header, payload)
+            self._mem.move_to_end(key)
+            while len(self._mem) > self.mem_entries:
+                self._mem.popitem(last=False)
 
     def drop_mem(self):
         """Forget the in-process front (tests; cross-process refresh)."""
-        self._mem.clear()
+        with self._mem_lock:
+            self._mem.clear()
 
     # -- maintenance ---------------------------------------------------------
     def entries(self):
@@ -378,7 +428,8 @@ class ScheduleStore:
                     continue
                 total -= size
                 evicted.append(key)
-                self._mem.pop(key, None)
+                with self._mem_lock:
+                    self._mem.pop(key, None)
         if evicted and obs.ENABLED:
             obs.counter("cache_evictions_total", len(evicted))
         if obs.ENABLED:

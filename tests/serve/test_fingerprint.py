@@ -19,8 +19,19 @@ from repro.ir.parser import parse_function
 from repro.ir.registers import Register, RegisterBank
 from repro.machine.itanium2 import ITANIUM2
 from repro.sched.scheduler import ScheduleFeatures
-from repro.serve.fingerprint import family_fingerprint, fingerprint
-from repro.workloads.generator import RoutineSpec, generate_routine
+from repro.serve.fingerprint import (
+    family_fingerprint,
+    fingerprint,
+    request_keys,
+)
+from repro.workloads.generator import (
+    LoopDominatedSpec,
+    MultiRegionSpec,
+    RoutineSpec,
+    generate_loop_dominated,
+    generate_multi_region,
+    generate_routine,
+)
 
 FEATURES = ScheduleFeatures(time_limit=30)
 
@@ -284,3 +295,63 @@ def test_loop_fingerprint_distinct_from_routine_and_per_loop():
     assert loop_key != loop_fingerprint(fn, "LOOP2", FEATURES, ITANIUM2)
     flipped = ScheduleFeatures(time_limit=30, swp_max_stages=2)
     assert loop_key != loop_fingerprint(fn, "LOOP", flipped, ITANIUM2)
+
+
+# -- golden digests -----------------------------------------------------------
+# Every stored entry is addressed by these digests: a change to the
+# canonical form that moves them silently orphans the whole store, so a
+# deliberate key change must update this table *and* bump CODE_VERSION.
+GOLDEN = [
+    (
+        generate_routine,
+        RoutineSpec(name="g0", seed=0, instructions=12, blocks=3),
+        "f66707424fec9a61d96883a54225b8210ea944600677edbcdd7908538192b493",
+        "371e5d96735f044d009116953253155ac6207dcd92e308b15de194201bb8936a",
+    ),
+    (
+        generate_routine,
+        RoutineSpec(name="g1", seed=1),
+        "7111f5ec4a806a57b559940b6cc52039a016912fe4c4944a4c51d170cccaa885",
+        "203835867b2bd82db96acadbe304e13db77af0577a8c0b1ed96ee00298132c7f",
+    ),
+    (
+        generate_routine,
+        RoutineSpec(
+            name="g2", seed=2, instructions=40, blocks=6, loops=2,
+            input_spec_loads=2,
+        ),
+        "058b59629086d10de0a32c07f445d00da9c765e482b4b523487cd06457f797bc",
+        "36a15eee6a3bea9eabaf3d717085c07dc8545ca4f329723c52b2e1659eafefa8",
+    ),
+    (
+        generate_routine,
+        RoutineSpec(name="g3", seed=3, instructions=150, blocks=16),
+        "ebe1ce090ae22bb86c1c5be9b5c4474847e8fd2d48ea3a370e0431bee763653e",
+        "6a6c398aecd7506070df707a68b738664601c717cc600cba64e79d728f01e11f",
+    ),
+    (
+        generate_loop_dominated,
+        LoopDominatedSpec(name="g4", seed=4),
+        "d7837efa546867900531ac6d293027c0caa7f23ddf800d0b608771a53f3aed81",
+        "42ace0ec46f3d0a770ad1553f62bbb7808dcdfb6ba57e83bad7a67e5218efeea",
+    ),
+    (
+        generate_multi_region,
+        MultiRegionSpec(
+            name="g5", seed=5, segments=3, segment_instructions=14,
+            segment_blocks=5,
+        ),
+        "e8c35c56128b00d29b9bed29c14e9db29ea94eced83c2d6dedc644db0bb2f4e4",
+        "f945f43baa87799c32609befb44b6114e3bfec489da1c720cd9b4ef188de96e3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "generate,spec,exact,family", GOLDEN, ids=[g[1].name for g in GOLDEN]
+)
+def test_golden_digests(generate, spec, exact, family):
+    fn = generate(spec)
+    assert fingerprint(fn, FEATURES, ITANIUM2) == exact
+    assert family_fingerprint(fn, FEATURES, ITANIUM2) == family
+    assert request_keys(fn, FEATURES, ITANIUM2) == (exact, family)

@@ -8,9 +8,15 @@ The serving invariants under test:
 * a family near miss seeds the cycle ranges and still verifies,
 * every store failure mode — I/O errors, injected corruption — is
   absorbed as a cold solve; **a request never raises**,
-* degraded (``fallback_input``) results are never cached.
+* degraded (``fallback_input``) results are never cached,
+* an exact hit decodes its entry at most once per process yet is
+  re-verified every time, and anything that replaces or drops the
+  entry's bytes forces a fresh decode,
+* the stored entry is a slim copy that still reports and emits exactly
+  like the miss.
 """
 
+import pickle
 import threading
 import time
 
@@ -22,6 +28,7 @@ from repro.serve import service as service_mod
 from repro.serve.service import ScheduleService, cached_optimize
 from repro.serve.store import ScheduleStore
 from repro.tools import faults
+from repro.tools.optimize import _emit_function
 from repro.workloads.generator import RoutineSpec, generate_routine
 
 FEATURES = ScheduleFeatures(time_limit=20)
@@ -196,10 +203,10 @@ def test_revalidation_quarantines_tampered_schedule(tmp_path, straight_fn):
     svc = ScheduleService(tmp_path / "cache", default_features=FEATURES)
     cold = svc.request(straight_fn)
     assert cold.stored
+    # Warm the decoded tier first: the put below must drop it.
+    assert svc.request(straight_fn).kind == "exact"
     # Tamper with the cached pickle *consistently* (valid checksum, bad
     # schedule): re-store a result whose schedule lost an instruction.
-    import pickle
-
     key = cold.key
     header, payload = svc.store.get(key)
     result = pickle.loads(payload)
@@ -211,7 +218,6 @@ def test_revalidation_quarantines_tampered_schedule(tmp_path, straight_fn):
     svc.store.put(key, cold.family, pickle.dumps(result), {
         "code_version": header["code_version"],
     })
-    svc.store.drop_mem()
     svc.solves = 0
     outcome = svc.request(straight_fn)
     assert outcome.kind == "miss"  # hit rejected by re-verification
@@ -257,3 +263,80 @@ def test_version_drift_ignores_entry(svc, straight_fn, monkeypatch):
     assert outcome.kind == "miss"
     assert svc.solves == 1
     assert any("code version" in note for note in outcome.notes)
+
+
+# -- exact-hit cost: decoded tier + slim entries -------------------------------
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_exact_hits_decode_once_and_always_reverify(
+    svc, straight_fn, monkeypatch
+):
+    svc.request(straight_fn)
+    loads = _count_calls(monkeypatch, pickle, "loads")
+    verifies = _count_calls(monkeypatch, service_mod, "verify_schedule")
+    hits = [svc.request(straight_fn) for _ in range(10)]
+    assert [h.kind for h in hits] == ["exact"] * 10
+    assert len(loads) == 1
+    assert len(verifies) == 10
+    # Every hit shares the one decoded, read-only result.
+    assert all(h.result is hits[0].result for h in hits)
+
+
+@pytest.mark.parametrize(
+    "invalidate", ["put", "quarantine", "drop_mem", "eviction"]
+)
+def test_dropping_entry_bytes_forces_fresh_decode(
+    tmp_path, straight_fn, diamond_fn, monkeypatch, invalidate
+):
+    store = ScheduleStore(tmp_path / "cache", mem_entries=1)
+    svc = ScheduleService(store, default_features=FEATURES)
+    svc.request(straight_fn)
+    loads = _count_calls(monkeypatch, pickle, "loads")
+    first = svc.request(straight_fn)
+    assert first.kind == "exact"
+    assert len(loads) == 1
+    key = first.key
+    if invalidate == "put":
+        header, payload = store.get(key)
+        store.put(key, first.family, payload, {
+            "code_version": header["code_version"],
+        })
+    elif invalidate == "quarantine":
+        store._quarantine(key, store._entry_path(key), "test")
+    elif invalidate == "drop_mem":
+        store.drop_mem()
+    else:  # the other routine's put evicts this one from the front
+        assert svc.request(diamond_fn).stored
+        assert key not in store._mem
+    again = svc.request(straight_fn)
+    if invalidate == "quarantine":
+        assert again.kind == "miss"  # never served from the dropped object
+        again = svc.request(straight_fn)
+    assert again.kind == "exact"
+    assert len(loads) == 2
+    assert again.result is not first.result
+
+
+def test_slim_entry_hit_matches_miss(svc, diamond_fn):
+    cold = svc.request(diamond_fn)
+    assert cold.result.spec_used >= 1
+    hit = svc.request(diamond_fn)
+    assert hit.kind == "exact"
+    assert len(hit.result.solution.values) < len(cold.result.solution.values)
+    assert hit.result.solution.status is cold.result.solution.status
+    assert hit.result.solution.objective == cold.result.solution.objective
+    assert hit.result.spec_used == cold.result.spec_used
+    assert hit.result.report() == cold.result.report()
+    assert _emit_function(hit.result) == _emit_function(cold.result)
+    _header, payload = svc.store.get(cold.key)
+    assert len(payload) < len(pickle.dumps(cold.result))

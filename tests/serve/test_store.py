@@ -8,6 +8,7 @@ place to fail again.
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -124,6 +125,48 @@ def test_mem_front_bounded(tmp_path):
     assert len(store._mem) == 2
     assert KEY_A not in store._mem  # oldest dropped from the front...
     assert store.get(KEY_A)[1] == b"p0"  # ...but still on disk
+
+
+def test_front_shared_by_threads_never_mixes_decoded_payloads(tmp_path):
+    """Fleet workers share one front: under forced thread switches, a
+    decoded payload always matches the bytes it was asked for, while
+    puts replace entries and evictions churn the two-entry front."""
+    store = ScheduleStore(tmp_path / "c", mem_entries=2)
+    keys = ["%064x" % i for i in range(4)]
+    for key in keys:
+        store.put(key, "", key.encode())
+    errors = []
+
+    def worker(n):
+        try:
+            for i in range(100):
+                key = keys[(n + i) % len(keys)]
+                if i % 5 == 0:
+                    store.put(key, "", b"%s:%d:%d" % (key.encode(), n, i))
+                header_payload = store.get(key)
+                if header_payload is None:
+                    continue
+                payload = header_payload[1]
+                decoded = store.decoded(key, payload, bytes.decode)
+                if decoded != payload.decode():
+                    errors.append((key, decoded, payload))
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(n,)) for n in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def test_family_index_roundtrip(store):
