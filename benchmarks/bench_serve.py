@@ -1,13 +1,20 @@
 #!/usr/bin/env python
 """Schedule-cache serving benchmark — the numbers behind ``repro.serve``.
 
-Four sections, each a dict in ``BENCH_serve.json`` at the repo root:
+Six sections, each a dict in ``BENCH_serve.json`` at the repo root:
 
 * ``cold_vs_hit``   — per-routine cold-solve latency vs byte-identical
   exact-hit latency over the same store (``hit_speedup`` is the
   headline: an exact hit must be at least an order of magnitude
   cheaper than the solve it replaced, and ``byte_identical`` asserts
   the hit really is the same schedule);
+* ``wire_hit``      — the same routines' exact hits as a client sees
+  them: repeated request payloads through ``FleetClient`` and an
+  in-process ``FleetDaemon``, with and without ``deadline_ms``.
+  ``wire_vs_in_process_ratio`` (a wire hit pass over an in-process
+  ``ScheduleService.request`` hit pass) is the gated headline; the
+  ``*_exact`` booleans assert every repeat, deadline or not, is a
+  byte-identical exact hit;
 * ``family_warm``   — cold solve vs a family-warm-started solve of the
   same routine under a different solver budget (same family, new
   exact key).  ``family_vs_cold_ratio`` ≈ 1.0 means the near-miss
@@ -122,6 +129,88 @@ def bench_cold_vs_hit(names, scale, time_limit, workdir):
         "mem_hit_seconds": mem_seconds,
         "hit_speedup": cold_seconds / max(hit_seconds, 1e-9),
         "byte_identical": byte_identical,
+    }
+
+
+def bench_wire_hit(names, scale, time_limit, workdir, repeats):
+    """Exact hits over the wire vs in process, median of ``repeats``
+    passes over the routines.
+
+    The deadline passes send ``deadline_ms`` at half the feature time
+    limit, so the deadline tightens the limit of any solve; it must not
+    change the key, so those repeats must hit too.
+    """
+    from repro.ir.parser import parse_functions
+    from repro.serve.client import FleetClient
+    from repro.serve.fleet import FleetDaemon
+
+    root = workdir / "wire_hit"
+    root.mkdir(parents=True)
+    service = _service(root / "cache", ScheduleFeatures(time_limit=time_limit))
+    texts = [
+        format_function(build_spec_routine(name, scale=scale))
+        for name in names
+    ]
+    daemon = FleetDaemon(service, str(root / "serve.sock"), workers=1)
+    server = threading.Thread(target=daemon.serve_forever, daemon=True)
+    server.start()
+    if not daemon.wait_ready(30):
+        raise RuntimeError("wire_hit daemon never bound its socket")
+    client = FleetClient([daemon.path])
+    deadline_ms = int(time_limit * 500)
+
+    def wire_pass(**kwargs):
+        seconds = 0.0
+        replies = []
+        for text in texts:
+            t0 = time.perf_counter()
+            reply = client.solve(text, **kwargs)
+            seconds += time.perf_counter() - t0
+            replies.append(reply)
+        return seconds, replies
+
+    try:
+        cold_seconds, cold = wire_pass()
+        fns = [parse_functions(text)[0] for text in texts]
+        runs = {"in_process": [], "plain": [], "deadline": []}
+        exact = {"plain": True, "deadline": True}
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for fn in fns:
+                service.request(fn)
+            runs["in_process"].append(time.perf_counter() - t0)
+            for label, kwargs in (
+                ("plain", {}), ("deadline", {"deadline_ms": deadline_ms}),
+            ):
+                seconds, replies = wire_pass(**kwargs)
+                runs[label].append(seconds)
+                exact[label] &= all(
+                    r.results[0]["kind"] == "exact" and r.text == c.text
+                    for r, c in zip(replies, cold)
+                )
+    finally:
+        daemon.initiate_drain("bench-complete")
+        server.join(60)
+
+    median = {
+        label: _percentile(sorted(values), 0.5)
+        for label, values in runs.items()
+    }
+    return {
+        "routines": list(names),
+        "scale": scale,
+        "time_limit": time_limit,
+        "repeats": repeats,
+        "deadline_ms": deadline_ms,
+        "cold_seconds": cold_seconds,
+        "in_process_hit_seconds": median["in_process"],
+        "wire_hit_seconds": median["plain"],
+        "wire_deadline_hit_seconds": median["deadline"],
+        "wire_vs_in_process_ratio": median["plain"] / max(
+            median["in_process"], 1e-9
+        ),
+        "wire_hits_exact": exact["plain"],
+        "deadline_hits_exact": exact["deadline"],
     }
 
 
@@ -397,7 +486,7 @@ def bench_journal_overhead(workdir, *, clients, requests_per_client,
 
 
 SECTIONS = (
-    "cold_vs_hit", "family_warm", "hit_rate_sweep", "overload",
+    "cold_vs_hit", "wire_hit", "family_warm", "hit_rate_sweep", "overload",
     "journal_overhead",
 )
 
@@ -436,6 +525,10 @@ def main(argv=None):
         if "cold_vs_hit" in sections:
             report["cold_vs_hit"] = bench_cold_vs_hit(
                 names, scale, time_limit, workdir
+            )
+        if "wire_hit" in sections:
+            report["wire_hit"] = bench_wire_hit(
+                names, scale, time_limit, workdir, repeats=21
             )
         if "family_warm" in sections:
             report["family_warm"] = bench_family_warm(
@@ -480,6 +573,14 @@ def main(argv=None):
         if cvh["hit_speedup"] < 10.0:
             problems.append(
                 f"exact-hit speedup {cvh['hit_speedup']:.1f}x < 10x"
+            )
+    wire = report.get("wire_hit")
+    if wire is not None:
+        if not wire["wire_hits_exact"]:
+            problems.append("repeated wire requests were not exact hits")
+        if not wire["deadline_hits_exact"]:
+            problems.append(
+                "repeated wire requests with a deadline were not exact hits"
             )
     overload = report.get("overload")
     if overload is not None:

@@ -34,10 +34,11 @@ Durability and integrity rules:
 An in-process LRU fronts the disk so a hot serving loop touches the
 filesystem only for misses and periodic mtime bumps.  Each resident
 entry holds the header, the payload bytes and — once a caller asks
-through :meth:`ScheduleStore.decoded` — the decoded payload, so a hot
-entry is unpickled at most once per process.  The decoded object lives
-and dies with its bytes: ``put``, quarantine, :meth:`drop_mem` and LRU
-eviction drop both.  The ``serve.store_io`` and ``serve.corrupt_entry``
+through :meth:`ScheduleStore.decoded` and :meth:`ScheduleStore.rendered`
+— the decoded payload and its rendered reply text, so a hot entry is
+unpickled and emitted at most once per process.  Both live and die with
+the bytes: ``put``, quarantine, :meth:`drop_mem` and LRU eviction drop
+all three.  The ``serve.store_io`` and ``serve.corrupt_entry``
 fault sites (:mod:`repro.tools.faults`) let the chaos harness inject
 I/O failures and checksum-breaking corruption on this exact path.
 """
@@ -75,15 +76,16 @@ def _payload_sha(payload):
 
 class _Resident:
     """One in-process front entry: the validated header and payload
-    bytes, plus the payload decoded on first request (``None`` until
-    then)."""
+    bytes, plus the payload decoded and its reply text rendered on
+    first request (``None`` until then)."""
 
-    __slots__ = ("header", "payload", "decoded")
+    __slots__ = ("header", "payload", "decoded", "rendered")
 
     def __init__(self, header, payload):
         self.header = header
         self.payload = payload
         self.decoded = None
+        self.rendered = None
 
 
 class ScheduleStore:
@@ -91,7 +93,7 @@ class ScheduleStore:
 
     ``size_budget`` (bytes, ``None`` = unbounded) triggers LRU eviction
     after writes; ``mem_entries`` bounds the in-process front, and with
-    it the decoded payloads kept there.  All mutating operations are
+    it the decoded payloads and rendered texts kept there.  All mutating operations are
     safe under concurrent use from multiple processes sharing the
     directory (N daemon replicas on one cache):
     entry writes are atomic renames, and the read-modify-write
@@ -267,6 +269,22 @@ class ScheduleStore:
         if resident.decoded is None:
             resident.decoded = decode(payload)
         return resident.decoded
+
+    def rendered(self, key, decoded, render):
+        """``render(decoded)``, computed at most once per decoded object.
+
+        ``decoded`` must be what :meth:`decoded` returned for ``key``.
+        While it is still the resident entry's decoded object, the text
+        is kept beside it, so it is dropped whenever the decoded object
+        is.  Any other object (a fresh solve, an entry no longer
+        resident) is rendered afresh and nothing is kept.
+        """
+        resident = self._mem.get(key)
+        if resident is None or resident.decoded is not decoded:
+            return render(decoded)
+        if resident.rendered is None:
+            resident.rendered = render(decoded)
+        return resident.rendered
 
     def _validate(self, key, raw):
         newline = raw.find(b"\n")

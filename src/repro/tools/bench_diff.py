@@ -63,6 +63,11 @@ SECTION_REL = {
     # cold-solve wall times are sub-second context numbers dominated by
     # search-order luck and host contention, so they get wide headroom.
     "cold_vs_hit": 3.0,
+    # Exact hits over the wire: the gated leaf is the wire hit's cost
+    # over the in-process hit's, measured side by side in one process,
+    # so host speed cancels; doubling it means a hit went back to
+    # parsing, keying or emitting. The *_exact booleans carry the rest.
+    "wire_hit": 1.0,
     "family_warm": 3.0,
     "hit_rate_sweep": 3.0,
     # Concurrent overload run: latency percentiles under deliberate

@@ -17,6 +17,7 @@ import pytest
 
 from repro.sched.scheduler import ScheduleFeatures
 from repro.serve import protocol
+from repro.serve import service as service_mod
 from repro.serve.fleet import DaemonError, FleetDaemon
 from repro.serve.service import ScheduleService
 from repro.tools import faults
@@ -267,6 +268,39 @@ def test_deadline_threads_into_fallback_ladder(tmp_path):
     assert header["results"][0]["quality"] in (
         "optimal", "incumbent", "phase1", "fallback_input"
     )
+
+
+def test_repeated_deadline_request_hits_exactly(tmp_path):
+    """A deadline bounds the solve but is not part of the cache key."""
+    daemon = _daemon(tmp_path, workers=1, max_requests=3)
+    thread, _box = _run(daemon)
+    # 10 s tightens the 20 s feature limit on every request.
+    replies = [_solve(daemon.path, deadline_ms=10000) for _ in range(3)]
+    thread.join(30)
+    kinds = [header["results"][0]["kind"] for header, _ in replies]
+    assert kinds == ["miss", "exact", "exact"]
+    assert replies[0][0]["results"][0]["quality"] == "optimal"
+    assert len({payload for _, payload in replies}) == 1
+
+
+def test_repeated_request_served_without_parsing(tmp_path, monkeypatch):
+    daemon = _daemon(tmp_path, workers=1, max_requests=4)
+    thread, box = _run(daemon)
+    miss_header, miss_payload = _solve(daemon.path)
+    parses = []
+    real_parse = service_mod.parse_functions
+    monkeypatch.setattr(
+        service_mod, "parse_functions",
+        lambda text: parses.append(text) or real_parse(text),
+    )
+    hits = [_solve(daemon.path, request_id=str(n)) for n in range(3)]
+    thread.join(30)
+    assert miss_header["results"][0]["kind"] == "miss"
+    assert [h["results"][0]["kind"] for h, _ in hits] == ["exact"] * 3
+    assert all(payload == miss_payload for _, payload in hits)
+    assert [h["id"] for h, _ in hits] == ["0", "1", "2"]
+    assert parses == []
+    assert box["counters"]["completed"] == 4
 
 
 def test_stale_socket_taken_over(tmp_path):
