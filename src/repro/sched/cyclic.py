@@ -200,19 +200,24 @@ def _wire_site(ilp, site):
         for b in cfg.block_names
         if b not in in_loop and cfg.reaches(b, loop.header)
     )
+    # In-loop successors ride the pre-loop copy the same way: hoisted
+    # above the loop, ``adds r42 = r41, ...`` computes once from
+    # iteration 0's r41 while the latch copies recompute r41 for every
+    # later iteration. They may stay anywhere in the loop, not above it.
     confined = set()
     for edge in outgoing:
         succ = edge.dst
         succ_block = region.source_block.get(succ)
-        if succ_block is None or succ_block in in_loop:
+        if succ_block is None:
             continue
         if succ is instr or succ in confined or succ not in ilp.info:
             continue
         confined.add(succ)
+        forbidden = above if succ_block in in_loop else above | in_loop
 
-        def confine_succ(ilp_, succ=succ):
+        def confine_succ(ilp_, succ=succ, forbidden=forbidden):
             for block in ilp_.info[succ].theta:
-                if block not in above and block not in in_loop:
+                if block not in forbidden:
                     continue
                 total = ilp_.x_sum(succ, block)
                 ilp_.model.add_constraint(

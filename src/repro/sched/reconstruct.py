@@ -127,8 +127,9 @@ def reconstruct_schedule(ilp, solution, spec_groups=()):
 
 
 def _exclusive_use_rewrites(selected):
-    """use instruction -> (old register, temp register) for selected
-    mov-carrying groups (the uses read the speculated temp directly)."""
+    """use instruction -> {old register: temp register} for selected
+    mov-carrying groups (the uses read the speculated temp directly).
+    A use may read the results of several speculated loads."""
     rewrites = {}
     for group in selected:
         if group.mov is None:
@@ -136,21 +137,23 @@ def _exclusive_use_rewrites(selected):
         old = group.original.dests[0]
         new = group.spec_load.dests[0]
         for use in group.exclusive_uses:
-            rewrites[use] = (old, new)
+            rewrites.setdefault(use, {})[old] = new
     return rewrites
 
 
 def _rewrite_use_copy(use, mapping):
-    """A copy of ``use`` reading the temp instead of the original register."""
+    """A copy of ``use`` reading the temps instead of the original registers."""
     from repro.ir.instruction import MemRef
 
-    old, new = mapping
     copy = use.copy()
-    copy.srcs = [new if s == old else s for s in copy.srcs]
-    if copy.mem is not None and copy.mem.base == old:
-        copy.mem = MemRef(new, copy.mem.offset, copy.mem.alias_class, copy.mem.size)
-    if copy.pred == old:
-        copy.pred = new
+    copy.srcs = [mapping.get(s, s) for s in copy.srcs]
+    if copy.mem is not None and copy.mem.base in mapping:
+        copy.mem = MemRef(
+            mapping[copy.mem.base], copy.mem.offset, copy.mem.alias_class,
+            copy.mem.size,
+        )
+    if copy.pred in mapping:
+        copy.pred = mapping[copy.pred]
     return copy
 
 

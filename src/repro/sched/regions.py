@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
+from repro.ir.ddg import DepKind
 
 
 @dataclass
@@ -177,6 +178,9 @@ def build_region(
         theta = _filter_into_loop_motion(region, instr, source, theta)
         region.theta[instr] = theta
 
+    for instr in region.instructions:
+        if instr.is_store:
+            _confine_variant_store(region, instr)
     if allow_predication:
         _extend_with_predication(region)
     return region
@@ -250,11 +254,7 @@ def _variant_loops(region, instr, source):
     """
     cfg = region.cfg
     loops = []
-    loop = cfg.innermost_loop(source)
-    containing = []
-    while loop is not None:
-        containing.append(loop)
-        loop = loop.parent
+    containing = _containing_loops(cfg, source)
     if not containing:
         return loops
 
@@ -271,6 +271,68 @@ def _variant_loops(region, instr, source):
     for loop in containing:
         if self_variant or any(b in loop.blocks for b in in_loop_writers):
             loops.append(loop)
+    return loops
+
+
+def _confine_variant_store(region, store):
+    """Keep a store inside every loop that changes its address or value.
+
+    Moved out of a loop, a store runs once instead of once per
+    iteration. That is right only for a loop-invariant store, which
+    writes the same value to the same address every time; a store
+    whose address comes from a per-iteration load would drop all but
+    one of its writes.
+    """
+    source = region.source_block[store]
+    for loop in _containing_loops(region.cfg, source):
+        if _varies_in_loop(region, store, loop):
+            region.theta[store] = {
+                b for b in region.theta[store] if b in loop.blocks
+            }
+
+
+def _varies_in_loop(region, instr, loop):
+    """Can an operand of ``instr`` differ between iterations of ``loop``?
+
+    Walks the in-loop definitions feeding ``instr`` (true dependences
+    inside the loop). An operand varies when one of them is a load or a
+    call (memory may change), is itself backedge-variant in ``loop``,
+    or when a reader sees an in-loop definition of a register and some
+    other one (the path taken may differ per iteration).
+    """
+    seen = {instr}
+    stack = [instr]
+    while stack:
+        node = stack.pop()
+        if node is not instr and (
+            node.is_load
+            or node.is_call
+            or any(v is loop for v in region.backedge_variant.get(node, ()))
+        ):
+            return True
+        writers = {}
+        for edge in region.ddg.preds(node):
+            if edge.kind is DepKind.TRUE:
+                writers.setdefault(edge.reg, set()).add(edge.src)
+        for defs in writers.values():
+            inside = {
+                d for d in defs if region.source_block.get(d) in loop.blocks
+            }
+            if inside and len(defs) > 1:
+                return True
+            for writer in inside - seen:
+                seen.add(writer)
+                stack.append(writer)
+    return False
+
+
+def _containing_loops(cfg, block):
+    """Loops containing ``block``, innermost first."""
+    loops = []
+    loop = cfg.innermost_loop(block)
+    while loop is not None:
+        loops.append(loop)
+        loop = loop.parent
     return loops
 
 

@@ -167,16 +167,20 @@ def test_race_emits_winner_solution_verbatim():
 
 def test_same_seed_same_winner():
     def run(seed):
+        # Each lane proves this model in tens of milliseconds; a tick
+        # well above that keeps a loaded machine from splitting the two
+        # finishes across ticks.
         solution = PortfolioSolver(
-            backends=("highs", "bb"), time_limit=30.0, seed=seed
+            backends=("highs", "bb"), time_limit=30.0, seed=seed,
+            poll_interval=0.25,
         ).solve(_knapsack())
         return solution.stats.portfolio["winner"], solution.objective
 
     first = run(7)
     assert run(7) == first  # deterministic rerun
-    # Both backends prove within one poll tick on a model this small, so
-    # the seeded permutation alone picks the winner — and some seed must
-    # pick each of the two lanes.
+    # Both backends prove within one poll tick, so the seeded
+    # permutation alone picks the winner — and some seed must pick each
+    # of the two lanes.
     winners = {run(seed)[0] for seed in range(8)}
     assert winners == {"highs", "bb"}
 

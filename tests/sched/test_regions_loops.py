@@ -102,3 +102,55 @@ def test_escaping_value_dependence_exists(region):
         e.src is producer and e.dst is consumer and e.kind is DepKind.TRUE
         for e in region.ddg.edges
     )
+
+
+STORES = """
+.proc stores
+.livein r32, r33, r34
+.liveout r8
+.block PRE freq=10
+  mov r1 = 0
+.block LOOP freq=120 succ=LOOP:0.9,POST:0.1
+  ld8 r7 = [r34+24] cls=heap
+  shr.u r9 = r7, 14
+  st8 [r7] = r9 cls=stack
+  adds r10 = r32, 32
+  st8 [r10+16] = r10 cls=glob
+  adds r34 = r34, 8
+  adds r1 = r1, 1
+  cmp.lt p18, p19 = r1, 12
+  (p18) br.cond LOOP
+.block POST freq=10
+  ld8 r8 = [r9+16] cls=glob
+  br.ret b0
+.endp
+"""
+
+
+@pytest.fixture(scope="module")
+def store_region():
+    fn = parse_function(STORES)
+    cfg = CfgInfo(fn)
+    ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
+    return build_region(fn, cfg, ddg, allow_predication=False)
+
+
+def _store_at(region, base):
+    return next(
+        i for i in region.instructions if i.is_store and i.mem.base.name == base
+    )
+
+
+def test_store_with_per_iteration_address_confined(store_region):
+    """st8 [r7] with r7 loaded every iteration: sunk below the loop it
+    would write only the last of twelve addresses."""
+    store = _store_at(store_region, "r7")
+    assert store not in store_region.backedge_variant
+    assert store_region.theta[store] == {"LOOP"}
+
+
+def test_loop_invariant_store_may_leave_loop(store_region):
+    """st8 [r10+16] = r10 with r10 = r32 + 32 writes the same value to the
+    same address every iteration: running it once keeps the memory image."""
+    store = _store_at(store_region, "r10")
+    assert "POST" in store_region.theta[store]

@@ -73,3 +73,16 @@ def test_mov_scheduled_when_group_selected(result):
             if p.instr.root_origin is group.mov
         ]
         assert bool(placed_movs) == selected
+
+
+def test_use_of_two_speculated_loads_reads_both_temps():
+    """A use fed by two mov-carrying groups reads both temporaries."""
+    from repro.ir.parser import parse_instruction
+    from repro.ir.registers import reg
+    from repro.sched.reconstruct import _rewrite_use_copy
+
+    use = parse_instruction("and r49 = r47, r48")
+    temps = {reg("r47"): reg("r2"), reg("r48"): reg("r3")}
+    copy = _rewrite_use_copy(use, temps)
+    assert [s.name for s in copy.srcs] == ["r2", "r3"]
+    assert [s.name for s in use.srcs] == ["r47", "r48"]
