@@ -69,11 +69,19 @@ RECORD_KINDS = ("request", "portfolio_summary", "note")
 REQUEST_OUTCOMES = ("ok", "busy", "error", "drained", "fault", "probe")
 
 
+def _canonical(record):
+    """A record's canonical JSON without its crc field."""
+    body = {k: v for k, v in record.items() if k != "crc"}
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(canonical):
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def _crc(record):
     """Checksum of a record's canonical JSON without its crc field."""
-    body = {k: v for k, v in record.items() if k != "crc"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return _digest(_canonical(record))
 
 
 def seal_record(record):
@@ -81,6 +89,16 @@ def seal_record(record):
     record.setdefault("v", SCHEMA_VERSION)
     record["crc"] = _crc(record)
     return record
+
+
+def _sealed_line(record):
+    """Seal ``record`` and return its JSONL line, encoding it once: the
+    line is the canonical body with the crc spliced in as its first
+    member (readers parse JSON, so member order carries no meaning)."""
+    record.setdefault("v", SCHEMA_VERSION)
+    canonical = _canonical(record)
+    record["crc"] = crc = _digest(canonical)
+    return f'{{"crc":"{crc}",{canonical[1:]}\n'.encode("utf-8")
 
 
 def check_record(record):
@@ -135,6 +153,7 @@ def request_record(
     error=None,
     fault=None,
     replica=None,
+    seal=True,
 ):
     """Build (and seal) one ``request`` record.
 
@@ -143,6 +162,8 @@ def request_record(
     ``features`` the effective wire-safe :class:`ScheduleFeatures`
     knobs; ``timings`` ``{queue_wait, solve, total}`` seconds;
     ``portfolio`` ``{winner, seed_transfers}`` when a race ran.
+    ``seal=False`` leaves the sealing to :meth:`TelemetryJournal.append`,
+    which seals every record it writes, so it is done once.
     """
     record = {
         "v": SCHEMA_VERSION,
@@ -176,7 +197,7 @@ def request_record(
         record["fault"] = str(fault)
     if replica is not None:
         record["replica"] = str(replica)
-    return seal_record(record)
+    return seal_record(record) if seal else record
 
 
 class TelemetryJournal:
@@ -242,14 +263,12 @@ class TelemetryJournal:
 
     # -- public --------------------------------------------------------------
     def append(self, record):
-        """Append one record; **never raises**.  Returns ``True`` on
+        """Seal and append one record; **never raises**.  Returns ``True`` on
         success, ``False`` when the write failed (counted, and — when
         recording is on — ``journal_write_errors_total`` incremented).
         The ``obs.journal`` fault site fires here."""
         try:
-            seal_record(record)
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            data = line.encode("utf-8") + b"\n"
+            data = _sealed_line(record)
             with self._lock:
                 if faults.fire("obs.journal") is not None:
                     raise OSError("injected journal I/O fault")

@@ -287,8 +287,19 @@ def features_from_wire(base, overrides, deadline_budget=None):
         # ScheduleFeatures validates eagerly (unknown backend / bad
         # roster); a bad client knob is a protocol error, not a crash.
         raise ProtocolError(f"invalid feature override: {exc}") from exc
-    if deadline_budget is not None:
-        budget = max(1e-6, float(deadline_budget))
-        if features.time_limit is None or budget < features.time_limit:
-            features = replace(features, time_limit=budget)
+    return apply_deadline(features, deadline_budget)
+
+
+def apply_deadline(features, budget):
+    """``features`` with ``time_limit`` tightened to ``budget`` seconds.
+
+    A deadline tightens the limit but never widens it — the daemon's
+    own limit is a ceiling.  Returns ``features`` itself when ``budget``
+    is ``None`` or no tighter, so ``is`` tells whether it tightened.
+    """
+    if budget is None:
+        return features
+    budget = max(1e-6, float(budget))
+    if features.time_limit is None or budget < features.time_limit:
+        return replace(features, time_limit=budget)
     return features

@@ -235,3 +235,20 @@ def test_shard_lines_are_canonical_json(tmp_path):
         record = json.loads(raw)
         assert check_record(record)
         assert validate_record(record) == []
+
+
+def test_append_seals_unsealed_and_stale_records(tmp_path):
+    """append seals whatever it is handed: an unsealed request record
+    (the fleet's ``seal=False``) and one mutated after sealing both
+    land with a checksum matching what was written."""
+    unsealed = request_record("ok", request_id="r1", seal=False)
+    assert "crc" not in unsealed
+    stale = request_record("ok", request_id="r2")
+    stale["request_id"] = "r3"
+    journal = TelemetryJournal(tmp_path / "j")
+    assert journal.append(unsealed) and journal.append(stale)
+    journal.close()
+    records = list(read_records(tmp_path / "j"))
+    assert [r["request_id"] for r in records] == ["r1", "r3"]
+    assert all(validate_record(r) == [] for r in records)
+    assert records[0] == unsealed  # the caller's dict carries the seal too
