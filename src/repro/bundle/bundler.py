@@ -82,173 +82,158 @@ def _unit_signature(group):
     return tuple(i.unit for i in group)
 
 
+# Slot type -> the unit kinds it accepts (slot_accepts, precomputed).
+_ACCEPTS = {
+    slot_type: frozenset(u for u in UnitKind if slot_accepts(slot_type, u))
+    for slot_type in ("M", "I", "F", "B", "L")
+}
+
+
+def _fill_order(template, first=0):
+    """Fillable slots from ``first`` on as (slot index, accepted kinds);
+    X halves are skipped (a movl in the preceding L slot consumes them)."""
+    return tuple(
+        (slot, _ACCEPTS[slot_type])
+        for slot, slot_type in enumerate(template.slots)
+        if slot >= first and slot_type != "X"
+    )
+
+
+_TEMPLATE_SLOTS = tuple(
+    (name, _fill_order(TEMPLATES_BY_NAME[name])) for name in _TEMPLATE_NAMES
+)
+_RESUME_SLOTS = {
+    (name, resume): _fill_order(TEMPLATES_BY_NAME[name], resume)
+    for name, resume in _MID_STOP_STATES
+}
+_MID_STOP = dict(_MID_STOP_STATES)  # template name -> resume slot
+
+
+def _greedy(units, start, slots):
+    """Greedy order-preserving placement of ``units[start:]`` into slots.
+
+    Returns the ``(slot_index, unit_position)`` pairs; slots not listed
+    become nops. Every prefix of the greedy placement is itself feasible;
+    the maximal one dominates, but shorter prefixes matter when the
+    remainder flows into a second bundle.
+    """
+    placements = []
+    position = start
+    count = len(units)
+    for slot, accepts in slots:
+        if position < count and units[position] in accepts:
+            placements.append((slot, position))
+            position += 1
+    return placements
+
+
+def _with_mid_stop(name, assignment):
+    """``(out_state, stop_slot)`` when template ``name`` may take a mid
+    stop after ``assignment`` (which then ends at or before that stop),
+    else None."""
+    resume = _MID_STOP.get(name)
+    if resume is None:
+        return None
+    stop_at = resume - 1
+    if any(slot > stop_at for slot, _pos in assignment):
+        return None
+    return (name, resume), stop_at
+
+
+def _closing_fills(units, start):
+    """Single-bundle fills that place all of ``units[start:]``."""
+    fills = []
+    for name, slots in _TEMPLATE_SLOTS:
+        placements = _greedy(units, start, slots)
+        if start + len(placements) == len(units):
+            fills.append((name, tuple(placements)))
+    return fills
+
+
 @lru_cache(maxsize=100000)
 def _packings_for(units, state):
     """All ways to pack an ordered unit tuple starting from ``state``.
 
-    Returns a list of ``(bundles_used, out_state, layout)`` where
+    Returns a tuple of ``(bundles_used, out_state, layout)`` where
     ``layout`` is a tuple of per-bundle slot assignments: each entry is
-    ``(template_name, start_slot, ((slot_index, unit_position | None), ...),
+    ``(template_name, start_slot, ((slot_index, unit_position), ...),
     stop_after)``. ``bundles_used`` counts *newly opened* bundles (a
     continued open bundle costs 0 — it was counted by the group that
     opened it).
     """
+    count = len(units)
     options = []
-    heads = []  # (consumed_prefix_len, opened_bundles, partial_layout)
     if state == CLOSED:
-        heads.append((0, 0, ()))
+        heads = [(0, ())]
     else:
-        template_name, resume = state
-        template = TEMPLATES_BY_NAME[template_name]
-        tail_slots = list(range(resume, len(template.slots)))
-        for consumed, assignment in _fill_slots(units, 0, template, tail_slots):
-            heads.append(
-                (
-                    consumed,
-                    0,
-                    ((template_name, resume, assignment, 2),),
-                )
-            )
         # The continuation bundle always ends with a stop at its end: the
         # next group may not resume inside it (it would be a third group
         # in one bundle boundary chain, which the state machine forbids).
+        name, resume = state
+        placements = _greedy(units, 0, _RESUME_SLOTS[state])
+        heads = [
+            (cut, ((name, resume, tuple(placements[:cut]), 2),))
+            for cut in range(len(placements) + 1)
+        ]
 
-    for consumed0, opened0, layout0 in heads:
-        remaining0 = len(units) - consumed0
-        if remaining0 == 0 and consumed0 > 0 or (len(units) == 0 and layout0):
-            options.append((opened0, CLOSED, layout0))
-        if remaining0 == 0:
-            if not layout0:
-                # Empty group: no encoding needed.
-                options.append((0, CLOSED, ()))
+    closing = {}  # start position -> _closing_fills(units, start)
+    for consumed0, layout0 in heads:
+        if consumed0 == count:
+            # Done inside the open bundle (or an empty group: no encoding).
+            options.append((0, CLOSED, layout0))
             continue
-        max_new = 2 - len(layout0)
+        spans_two = bool(layout0)
         # A continuation bundle that does not finish the group has no end
         # stop — the group flows into the next bundle.
-        layout_open = tuple(
-            (t, s, a, None) if i == len(layout0) - 1 else (t, s, a, st)
-            for i, (t, s, a, st) in enumerate(layout0)
-        )
-        for name1 in _TEMPLATE_NAMES:
-            template1 = TEMPLATES_BY_NAME[name1]
-            all_slots = list(range(len(template1.slots)))
-            for consumed1, assign1 in _fill_slots(
-                units, consumed0, template1, all_slots
-            ):
-                total1 = consumed0 + consumed1
-                remaining1 = len(units) - total1
-                if remaining1 == 0:
+        layout_open = tuple((t, s, a, None) for t, s, a, _stop in layout0)
+        for name1, slots1 in _TEMPLATE_SLOTS:
+            placements = _greedy(units, consumed0, slots1)
+            for cut in range(len(placements) + 1):
+                assign1 = tuple(placements[:cut])
+                total1 = consumed0 + cut
+                if total1 == count:
                     # Close with an end stop...
                     options.append(
-                        (
-                            opened0 + 1,
-                            CLOSED,
-                            layout_open + ((name1, 0, assign1, 2),),
-                        )
+                        (1, CLOSED, layout_open + ((name1, 0, assign1, 2),))
                     )
                     # ...or leave a mid-stop open for the next group.
-                    for mid_name, resume in _MID_STOP_STATES:
-                        if name1 != mid_name:
-                            continue
-                        stop_at = resume - 1
-                        if all(
-                            pos is None or slot <= stop_at
-                            for slot, pos in assign1
-                        ):
-                            trimmed = tuple(
-                                (slot, pos)
-                                for slot, pos in assign1
-                                if slot <= stop_at
-                            )
-                            options.append(
-                                (
-                                    opened0 + 1,
-                                    (mid_name, resume),
-                                    layout_open + ((name1, 0, trimmed, stop_at),),
-                                )
-                            )
-                    continue
-                if max_new < 2:
-                    continue  # already spans two bundles
-                if consumed1 == 0:
-                    continue
-                for name2 in _TEMPLATE_NAMES:
-                    template2 = TEMPLATES_BY_NAME[name2]
-                    slots2 = list(range(len(template2.slots)))
-                    for consumed2, assign2 in _fill_slots(
-                        units, total1, template2, slots2
-                    ):
-                        if total1 + consumed2 != len(units):
-                            continue
+                    mid = _with_mid_stop(name1, assign1)
+                    if mid is not None:
+                        out_state, stop_at = mid
                         options.append(
                             (
-                                opened0 + 2,
-                                CLOSED,
-                                layout_open
-                                + (
-                                    (name1, 0, assign1, None),
-                                    (name2, 0, assign2, 2),
-                                ),
+                                1,
+                                out_state,
+                                layout_open + ((name1, 0, assign1, stop_at),),
                             )
                         )
-                        for mid_name, resume in _MID_STOP_STATES:
-                            if name2 != mid_name:
-                                continue
-                            stop_at = resume - 1
-                            if all(
-                                pos is None or slot <= stop_at
-                                for slot, pos in assign2
-                            ):
-                                trimmed = tuple(
-                                    (s, p) for s, p in assign2 if s <= stop_at
-                                )
-                                options.append(
-                                    (
-                                        opened0 + 2,
-                                        (mid_name, resume),
-                                        layout_open
-                                        + (
-                                            (name1, 0, assign1, None),
-                                            (name2, 0, trimmed, stop_at),
-                                        ),
-                                    )
-                                )
-    return options
-
-
-def _fill_slots(units, start, template, slot_indices):
-    """Greedy order-preserving placements of ``units[start:]`` into slots.
-
-    Yields ``(consumed, assignment)`` for every *prefix length* that can be
-    placed; assignment is a tuple of (slot_index, unit_position) — slots
-    not listed become nops. The maximal greedy assignment dominates, but
-    shorter prefixes matter when the remainder flows into a second bundle.
-    """
-    placements = []
-    position = start
-    for slot in slot_indices:
-        slot_type = template.slots[slot]
-        if slot_type == "X":
-            # Consumed by a movl in the preceding L slot, or nop.
-            continue
-        if position < len(units) and slot_accepts(slot_type, units[position]):
-            placements.append((slot, position))
-            position += 1
-    # Every prefix of the greedy placement is itself feasible.
-    for cut in range(len(placements) + 1):
-        consumed = cut
-        assignment = tuple(placements[:cut])
-        yield consumed, assignment
+                    continue
+                if spans_two or cut == 0:
+                    continue  # already spans two bundles, or no progress
+                fills = closing.get(total1)
+                if fills is None:
+                    fills = closing[total1] = _closing_fills(units, total1)
+                first = layout_open + ((name1, 0, assign1, None),)
+                for name2, assign2 in fills:
+                    options.append((2, CLOSED, first + ((name2, 0, assign2, 2),)))
+                    mid = _with_mid_stop(name2, assign2)
+                    if mid is not None:
+                        out_state, stop_at = mid
+                        options.append(
+                            (2, out_state, first + ((name2, 0, assign2, stop_at),))
+                        )
+    return tuple(options)
 
 
 _MAX_ORDERS = 64
 
 
+@lru_cache(maxsize=100000)
 def _linear_extensions(units, pairs):
     """Distinct unit-sequence linear extensions of the partial order.
 
-    ``pairs`` is an iterable of (i, j) index pairs (i before j); ``None``
-    means "preserve the given order exactly". Returns a list of
+    ``pairs`` is a sorted tuple of (i, j) index pairs (i before j);
+    ``None`` means "preserve the given order exactly". Returns a tuple of
     ``(unit_tuple, perm)`` where ``perm[pos]`` is the original index of
     the unit placed at ``pos``. Orders whose unit signature repeats are
     deduplicated; enumeration is capped at ``_MAX_ORDERS`` signatures.
@@ -256,7 +241,7 @@ def _linear_extensions(units, pairs):
     n = len(units)
     identity = tuple(range(n))
     if pairs is None or n <= 1:
-        return [(tuple(units), identity)]
+        return ((tuple(units), identity),)
     succs = {}
     pred_count = [0] * n
     for i, j in pairs:
@@ -264,7 +249,7 @@ def _linear_extensions(units, pairs):
         pred_count[j] += 1
 
     results = []
-    seen_signatures = {}
+    seen_signatures = set()
     order = []
 
     def dfs(counts, available):
@@ -273,7 +258,7 @@ def _linear_extensions(units, pairs):
         if len(order) == n:
             signature = tuple(units[i] for i in order)
             if signature not in seen_signatures:
-                seen_signatures[signature] = True
+                seen_signatures.add(signature)
                 results.append((signature, tuple(order)))
             return
         for idx in sorted(available):
@@ -295,8 +280,27 @@ def _linear_extensions(units, pairs):
 
     dfs(list(pred_count), {i for i in range(n) if pred_count[i] == 0})
     if not results:
-        return [(tuple(units), identity)]
-    return results
+        return ((tuple(units), identity),)
+    return tuple(results)
+
+
+@lru_cache(maxsize=100000)
+def _transitions(units, pairs, state):
+    """The DP's moves out of ``state`` for one group.
+
+    Returns ``(out_state, opened, layout, perm)`` per reachable out-state,
+    in the order the out-states are first found, keeping the first
+    cheapest packing over every allowed slot order. Folding these into
+    the DP with a strict ``<`` picks exactly what scanning every packing
+    would.
+    """
+    best = {}
+    for signature, perm in _linear_extensions(units, pairs):
+        for opened, out_state, layout in _packings_for(signature, state):
+            entry = best.get(out_state)
+            if entry is None or opened < entry[0]:
+                best[out_state] = (opened, layout, perm)
+    return tuple((out, *entry) for out, entry in best.items())
 
 
 def pack_groups(groups, order_pairs=None, machine=None):
@@ -323,15 +327,15 @@ def pack_groups(groups, order_pairs=None, machine=None):
         pairs = order_pairs[index] if order_pairs is not None else None
         pairs_key = tuple(sorted(set(pairs))) if pairs is not None else None
         units = _unit_signature(group)
-        orders = _linear_extensions(units, pairs_key)
         new_states = {}
         for state, (cost, _bp, _layout, _perm) in states.items():
-            for signature, perm in orders:
-                for opened, out_state, layout in _packings_for(signature, state):
-                    total = cost + opened
-                    best = new_states.get(out_state)
-                    if best is None or total < best[0]:
-                        new_states[out_state] = (total, state, layout, perm)
+            for out_state, opened, layout, perm in _transitions(
+                units, pairs_key, state
+            ):
+                total = cost + opened
+                best = new_states.get(out_state)
+                if best is None or total < best[0]:
+                    new_states[out_state] = (total, state, layout, perm)
         if not new_states:
             error = BundlingError(
                 f"group {index} ({[i.mnemonic for i in group]}) fits no "

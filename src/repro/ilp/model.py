@@ -50,6 +50,18 @@ class Constraint:
             return lhs >= self.rhs - tol
         return abs(lhs - self.rhs) <= tol
 
+    def _key(self):
+        terms = sorted((var.index, coef) for var, coef in self.expr.terms.items())
+        return self.sense, self.rhs, self.name, terms
+
+    def __eq__(self, other):
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((self.sense, self.rhs, self.name))
+
     def __repr__(self):
         label = f"{self.name}: " if self.name else ""
         return f"{label}{self.expr!r} {self.sense.value} {self.rhs:g}"
@@ -61,17 +73,30 @@ class Model:
     Only minimization is supported (the scheduler always minimizes); callers
     wanting maximization negate their objective. Variables are created
     through :meth:`add_var` / :meth:`add_binary` and owned by the model.
+
+    Constraints live in one row store: each row is a run of column indices
+    and coefficients plus its row bounds. :meth:`add_row` appends a row
+    given by column indices; :meth:`add_constraint` converts an expression
+    comparison into a row once, when it is added. :meth:`to_arrays` builds
+    the CSR straight from the stored arrays.
     """
 
     def __init__(self, name="model"):
         self.name = name
         self.variables = []
-        self.constraints = []
         self.objective = LinExpr()
         self._names = set()
-        # Incremental matrix-form cache: appending constraints (the cut
-        # loop's access pattern) only converts the *new* rows and stacks
-        # them under the cached CSR instead of re-walking every term dict.
+        # Row i spans _cols/_vals[_ptr[i]:_ptr[i + 1]] with bounds
+        # _lo[i] <= row <= _hi[i]; names are str or tuples of parts that
+        # _row_name joins lazily (only export and tests read them).
+        self._cols = []
+        self._vals = []
+        self._ptr = [0]
+        self._lo = []
+        self._hi = []
+        self._row_names = []
+        # Matrix-form cache: appending rows (the cut loop, phase-2 length
+        # pins) converts only the new rows and stacks them under the CSR.
         self._matrix_cache = None
 
     # -- construction ------------------------------------------------------
@@ -90,6 +115,31 @@ class Model:
     def add_binary(self, name):
         return self.add_var(name, lb=0.0, ub=1.0, is_integer=True)
 
+    def add_row(self, cols, coefs, sense, rhs, name=""):
+        """Append the row ``Σ coefs[k]·x[cols[k]] (sense) rhs``.
+
+        ``cols`` is a sequence of column indices; ``coefs`` a sequence of
+        the same length, or ``None`` for all ones. A column may repeat (its
+        coefficients are summed) and zero sums are dropped when the matrix
+        is built. ``name`` is a string or a tuple of parts joined by ``_``.
+        """
+        self._cols += cols
+        if coefs is None:
+            self._vals += [1.0] * len(cols)
+        else:
+            self._vals += coefs
+        self._ptr.append(len(self._cols))
+        if sense is Sense.LE:
+            self._lo.append(-np.inf)
+            self._hi.append(rhs)
+        elif sense is Sense.GE:
+            self._lo.append(rhs)
+            self._hi.append(np.inf)
+        else:
+            self._lo.append(rhs)
+            self._hi.append(rhs)
+        self._row_names.append(name)
+
     def add_constraint(self, constraint, name=""):
         """Register a constraint built with ``<=``, ``>=`` or ``==``."""
         if not isinstance(constraint, Constraint):
@@ -99,7 +149,14 @@ class Model:
             )
         if name:
             constraint.name = name
-        self.constraints.append(constraint)
+        terms = constraint.expr.terms
+        self.add_row(
+            [var.index for var in terms],
+            list(terms.values()),
+            constraint.sense,
+            constraint.rhs,
+            constraint.name,
+        )
         return constraint
 
     def set_objective(self, expr):
@@ -115,37 +172,42 @@ class Model:
 
     @property
     def num_constraints(self):
-        return len(self.constraints)
+        return len(self._lo)
 
     @property
     def num_integer_variables(self):
         return sum(1 for v in self.variables if v.is_integer)
 
+    def _row_name(self, index):
+        name = self._row_names[index]
+        return name if isinstance(name, str) else "_".join(map(str, name))
+
+    @property
+    def constraints(self):
+        """Every row as a :class:`Constraint` (built on each access)."""
+        variables = self.variables
+        rows = []
+        for i, (lo, hi) in enumerate(zip(self._lo, self._hi)):
+            terms = {}
+            for k in range(self._ptr[i], self._ptr[i + 1]):
+                var = variables[self._cols[k]]
+                coef = terms.get(var, 0.0) + self._vals[k]
+                if coef == 0.0:
+                    terms.pop(var, None)
+                else:
+                    terms[var] = coef
+            if lo == hi:
+                sense, rhs = Sense.EQ, lo
+            elif lo == -np.inf:
+                sense, rhs = Sense.LE, hi
+            else:
+                sense, rhs = Sense.GE, lo
+            rows.append(Constraint(LinExpr(terms), sense, rhs, self._row_name(i)))
+        return rows
+
     def check_solution(self, assignment, tol=1e-6):
         """Return the list of constraints violated by ``assignment``."""
         return [c for c in self.constraints if not c.satisfied_by(assignment, tol)]
-
-    # -- incremental editing ----------------------------------------------
-    def constraint_mark(self):
-        """Checkpoint the current constraint count for later truncation."""
-        return len(self.constraints)
-
-    def truncate_constraints(self, mark):
-        """Drop every constraint added after :meth:`constraint_mark`.
-
-        Together with :meth:`constraint_mark` this lets a caller reuse one
-        built model across solve variants (phase-2 length pinning, trial
-        cuts) without regenerating the base formulation.
-        """
-        if mark < 0 or mark > len(self.constraints):
-            raise IlpError(f"invalid constraint mark {mark}")
-        del self.constraints[mark:]
-        cache = self._matrix_cache
-        if cache is not None and cache["rows"] > mark:
-            cache["matrix"] = cache["matrix"][:mark]
-            cache["b_lo"] = cache["b_lo"][:mark]
-            cache["b_hi"] = cache["b_hi"][:mark]
-            cache["rows"] = mark
 
     # -- matrix form -------------------------------------------------------
     def to_arrays(self):
@@ -161,62 +223,54 @@ class Model:
         for var, coef in self.objective.terms.items():
             c[var.index] = coef
 
+        rows = len(self._lo)
         cache = self._matrix_cache
         if cache is None:
-            matrix, b_lo, b_hi = self._rows_to_csr(self.constraints)
-            cache = {
-                "matrix": matrix,
-                "b_lo": b_lo,
-                "b_hi": b_hi,
-                "rows": len(self.constraints),
+            variables = self.variables
+            cache = self._matrix_cache = {
+                "matrix": self._csr(0, rows),
+                "rows": rows,
+                "lb": np.array([-np.inf if v.lb is None else v.lb for v in variables]),
+                "ub": np.array([np.inf if v.ub is None else v.ub for v in variables]),
+                "integrality": np.array([v.is_integer for v in variables]),
             }
-            self._matrix_cache = cache
-        elif cache["rows"] < len(self.constraints):
-            new = self.constraints[cache["rows"] :]
-            delta, d_lo, d_hi = self._rows_to_csr(new)
-            cache["matrix"] = sparse.vstack(
-                [cache["matrix"], delta], format="csr"
-            )
-            cache["b_lo"] = np.concatenate([cache["b_lo"], d_lo])
-            cache["b_hi"] = np.concatenate([cache["b_hi"], d_hi])
-            cache["rows"] = len(self.constraints)
+        elif cache["rows"] < rows:
+            delta = self._csr(cache["rows"], rows)
+            cache["matrix"] = sparse.vstack([cache["matrix"], delta], format="csr")
+            cache["rows"] = rows
 
-        lb = np.array([-np.inf if v.lb is None else v.lb for v in self.variables])
-        ub = np.array([np.inf if v.ub is None else v.ub for v in self.variables])
-        integrality = np.array([v.is_integer for v in self.variables])
-        # Vectors are copied so callers may edit them (the presolve does)
-        # without corrupting the cache; the CSR is shared and treated as
-        # immutable by every backend.
+        # Vectors are fresh or copied so callers may edit them (the presolve
+        # does); the CSR is shared and treated as immutable by every backend.
         return {
             "c": c,
             "A": cache["matrix"],
-            "b_lo": cache["b_lo"].copy(),
-            "b_hi": cache["b_hi"].copy(),
-            "lb": lb,
-            "ub": ub,
-            "integrality": integrality,
+            "b_lo": np.array(self._lo, dtype=float),
+            "b_hi": np.array(self._hi, dtype=float),
+            "lb": cache["lb"].copy(),
+            "ub": cache["ub"].copy(),
+            "integrality": cache["integrality"].copy(),
         }
 
-    def _rows_to_csr(self, constraints):
-        """Convert ``constraints`` to a CSR block plus row-bound vectors."""
-        rows, cols, vals = [], [], []
-        b_lo = np.empty(len(constraints))
-        b_hi = np.empty(len(constraints))
-        for i, con in enumerate(constraints):
-            for var, coef in con.expr.terms.items():
-                rows.append(i)
-                cols.append(var.index)
-                vals.append(coef)
-            if con.sense is Sense.LE:
-                b_lo[i], b_hi[i] = -np.inf, con.rhs
-            elif con.sense is Sense.GE:
-                b_lo[i], b_hi[i] = con.rhs, np.inf
-            else:
-                b_lo[i] = b_hi[i] = con.rhs
+    def _csr(self, start, stop):
+        """Rows ``start:stop`` as a canonical CSR block.
+
+        Canonical means sorted column indices, repeated columns summed and
+        zero coefficients dropped — the form an expression's term dict
+        would give.
+        """
+        first, last = self._ptr[start], self._ptr[stop]
+        indptr = np.array(self._ptr[start : stop + 1], dtype=np.int32) - first
         matrix = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(constraints), len(self.variables))
+            (
+                np.array(self._vals[first:last], dtype=float),
+                np.array(self._cols[first:last], dtype=np.int32),
+                indptr,
+            ),
+            shape=(stop - start, len(self.variables)),
         )
-        return matrix, b_lo, b_hi
+        matrix.sum_duplicates()
+        matrix.eliminate_zeros()
+        return matrix
 
     # -- export ------------------------------------------------------------
     def write_lp(self, path=None):

@@ -27,12 +27,47 @@ Extensions (speculation, cyclic, partial-ready) hook in *before*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SchedulingError
-from repro.ilp import Model, lin_sum
-from repro.ir.ddg import DepEdge, DepKind
+from repro.ilp import LinExpr, Model, Sense, Var, lin_sum
 from repro.machine.units import UnitKind
+
+_EMPTY = ((), (), 0.0)
+
+_UNIT_CAPS = (
+    ((UnitKind.M,), "m_ports", "unitm"),
+    ((UnitKind.I, UnitKind.L), "i_ports", "uniti"),
+    ((UnitKind.F,), "f_ports", "unitf"),
+    ((UnitKind.B,), "b_ports", "unitb"),
+)
+
+
+def _affine(value):
+    """``(cols, coefs, constant)`` of a number, Var or LinExpr."""
+    if isinstance(value, Var):
+        return (value.index,), (1.0,), 0.0
+    if isinstance(value, LinExpr):
+        terms = value.terms
+        return tuple(v.index for v in terms), tuple(terms.values()), value.constant
+    return (), (), float(value)
+
+
+def _rhs(lhs_const, rhs_const):
+    """A row's right-hand side once every constant is moved right.
+
+    Computed as :class:`repro.ilp.Constraint` does (``-(lhs - rhs)``), so
+    the row bounds match the expression form bit for bit, signed zeros
+    included.
+    """
+    return -(lhs_const - rhs_const)
+
+
+_ZERO_RHS = _rhs(0.0, 0.0)  # -0.0: "lhs <= rhs" with no constants
+
+
+def _is_const_zero(value):
+    return isinstance(value, (int, float)) and value == 0
 
 
 @dataclass
@@ -89,6 +124,13 @@ class SchedulingIlp:
         self.bundling_cuts = []  # lists of (instr, block) sets to forbid per-cycle
         self.collapsible_branches = set()  # unconditional brs of removable blocks
         self._generated = False
+        # Column layout, filled by generate(): x[n,A,t] is column
+        # _xbase[(n, A)] + t - 1 and len[A,t] is column _lenbase[A] + t, so
+        # every window and suffix of either is a contiguous column range.
+        self._xbase = {}
+        self._lenbase = {}
+        self._relax = None  # edge -> [(affine term, blocks | None)]
+        self._no_a = set()  # (instr, block) whose a is the constant 0
 
         for instr in region.instructions:
             self.info[instr] = _InstrInfo(
@@ -149,9 +191,15 @@ class SchedulingIlp:
         info = self.info[instr]
         if block not in info.theta:
             return 0
-        return lin_sum(
-            self.x[(instr, block, t)] for t in self._grange(block)
-        )
+        x = self.x
+        return LinExpr({x[(instr, block, t)]: 1.0 for t in self._grange(block)})
+
+    def _x_cols(self, instr, block):
+        """Columns of x[n,A,1..L_A]; empty when A ∉ Θ(n)."""
+        base = self._xbase.get((instr, block))
+        if base is None:
+            return range(0)
+        return range(base, base + self.lengths[block])
 
     def a_expr(self, instr, block):
         """The ``a[n,B]`` value: a Var, a constant, or the pinned shortcut."""
@@ -162,12 +210,18 @@ class SchedulingIlp:
             if block == self.OMEGA or self.region.cfg.reaches(info.source, block):
                 return info.assign_rhs
             return 0
-        if block != self.OMEGA and not self._a_can_be_one(instr, block):
-            return 0
         key = (instr, block)
-        if key not in self.a:
-            self.a[key] = self.model.add_binary(f"a_{instr.uid}_{block}")
-        return self.a[key]
+        var = self.a.get(key)
+        if var is not None:
+            return var  # Θ(n) only grows, so a created a-var stays valid
+        if key in self._no_a:
+            return 0
+        if block != self.OMEGA and not self._a_can_be_one(instr, block):
+            if self._generated:
+                self._no_a.add(key)  # Θ(n) is final once generate() starts
+            return 0
+        var = self.a[key] = self.model.add_binary(f"a_{instr.uid}_{block}")
+        return var
 
     def _a_can_be_one(self, instr, block):
         """Can some copy of n precede ``block``? (Θ(n) ∩ strict ancestors)"""
@@ -188,22 +242,34 @@ class SchedulingIlp:
             if edge not in self.dropped_edges:
                 yield edge
 
-    def _relax_expr(self, edge, block):
-        entries = self.relax_terms.get(edge)
+    @staticmethod
+    def _relax_row(entries, block):
+        """An edge's relaxation at ``block`` as ``(cols, -coefs, constant)``.
+
+        ``entries`` are the edge's converted ``relax_edge`` terms. The
+        coefficients come negated: the terms join the RHS of a precedence
+        row, so they enter its left-hand side with a minus.
+        """
         if not entries:
-            return 0
-        terms = [
-            term
-            for term, blocks in entries
-            if blocks is None or block in blocks
-        ]
-        if not terms:
-            return 0
-        return lin_sum(terms)
+            return _EMPTY
+        cols, coefs, constant = [], [], 0.0
+        for (t_cols, t_coefs, t_const), blocks in entries:
+            if blocks is None or block in blocks:
+                cols += t_cols
+                coefs += [-c for c in t_coefs]
+                constant += t_const
+        return cols, coefs, constant
 
     # -- model generation ---------------------------------------------------------------
     def generate(self):
-        """Emit all constraints and the objective. Idempotence-guarded."""
+        """Emit all constraints and the objective. Idempotence-guarded.
+
+        Rows are emitted straight as column-index rows (see
+        :meth:`repro.ilp.Model.add_row`); extension inputs given as Vars or
+        LinExprs are converted once. The rows, their order and the column
+        order are exactly those of the expression form each docstring
+        states, so the solver sees the same matrix.
+        """
         if self._generated:
             raise SchedulingError("model already generated")
         self._generated = True
@@ -216,6 +282,10 @@ class SchedulingIlp:
             self.set_assign_rhs(branch, 1 - self.blen[(source, 0)])
         for builder in self.deferred_builders:
             builder(self)
+        self._relax = {
+            edge: [(_affine(term), blocks) for term, blocks in entries]
+            for edge, entries in self.relax_terms.items()
+        }
         self._flow_constraints()  # eq (2) + (3)
         self._global_precedence()  # eq (4)
         self._local_precedence()  # eq (5)
@@ -229,39 +299,50 @@ class SchedulingIlp:
 
     # -- pieces ----------------------------------------------------------------------------
     def _create_x_variables(self):
+        add_binary = self.model.add_binary
         for instr, info in self.info.items():
             for block in sorted(info.theta):
+                self._xbase[(instr, block)] = self.model.num_variables
                 for t in self._grange(block):
-                    self.x[(instr, block, t)] = self.model.add_binary(
+                    self.x[(instr, block, t)] = add_binary(
                         f"x_{instr.uid}_{block}_{t}"
                     )
 
     def _create_length_variables(self):
+        """len[A,t] for t in 0..L_A, and Σ_t len[A,t] = 1 per block."""
         for block in self.region.fn.blocks:
             name = block.name
-            for t in range(0, self.lengths[name] + 1):
+            length = self.lengths[name]
+            base = self._lenbase[name] = self.model.num_variables
+            for t in range(0, length + 1):
                 self.blen[(name, t)] = self.model.add_binary(f"len_{name}_{t}")
-            self.model.add_constraint(
-                lin_sum(
-                    self.blen[(name, t)] for t in range(0, self.lengths[name] + 1)
-                )
-                == 1,
-                name=f"onelen_{name}",
+            self.model.add_row(
+                range(base, base + length + 1), None, Sense.EQ, _rhs(0.0, 1.0),
+                ("onelen", name),
             )
 
     def _flow_constraints(self):
-        """Equations (2) (inductive a/x coupling) and (3) (assignment)."""
+        """Equations (2) (inductive a/x coupling) and (3) (assignment).
+
+        (2): ``a[n,B] (= | <=) a[n,P] + Σ_t x[n,P,t]`` per DAG edge P→B;
+        (3): ``a[n,Ω] = rhs(n)``, or ``Σ_t x[n,s(n),t] = rhs(n)`` for a
+        pinned n.
+        """
         cfg = self.region.cfg
+        add_row = self.model.add_row
         for instr, info in self.info.items():
+            rhs_cols, rhs_coefs, rhs_const = _affine(info.assign_rhs)
+            rhs_coefs = [-c for c in rhs_coefs]
+            rhs_const = _rhs(0.0, rhs_const)
             if info.pinned:
-                rhs = info.assign_rhs
-                total = self.x_sum(instr, info.source)
-                if isinstance(total, int) and total == 0:
+                if (instr, info.source) not in self._xbase:
                     raise SchedulingError(
                         f"pinned instruction {instr!r} has no x variables"
                     )
-                self.model.add_constraint(
-                    total == rhs, name=f"assign_{instr.uid}"
+                cols = self._x_cols(instr, info.source)
+                add_row(
+                    [*cols, *rhs_cols], [1.0] * len(cols) + rhs_coefs,
+                    Sense.EQ, rhs_const, ("assign", instr.uid),
                 )
                 continue
 
@@ -290,40 +371,41 @@ class SchedulingIlp:
                     )
                     if not on_path:
                         continue
-                    rhs = self.a_expr(instr, pred) + self.x_sum(instr, pred)
-                    if self._is_const_zero(lhs) and self._is_const_zero(rhs):
+                    a_pred = self.a_expr(instr, pred)
+                    xs = self._x_cols(instr, pred)
+                    in_theta = (instr, pred) in self._xbase
+                    if _is_const_zero(lhs) and _is_const_zero(a_pred) and not in_theta:
                         continue
+                    cols, coefs = [], []
+                    if not _is_const_zero(lhs):
+                        cols.append(lhs.index)
+                        coefs.append(1.0)
+                    if not _is_const_zero(a_pred):
+                        cols.append(a_pred.index)
+                        coefs.append(-1.0)
+                    cols += xs
+                    coefs += [-1.0] * len(xs)
                     relaxed = (instr, pred, block) in self.relaxed_flow
-                    if relaxed:
-                        constraint = self._as_expr(lhs) <= rhs
-                    else:
-                        constraint = self._as_expr(lhs) == rhs
-                    self.model.add_constraint(
-                        constraint, name=f"flow_{instr.uid}_{pred}_{block}"
+                    add_row(
+                        cols, coefs, Sense.LE if relaxed else Sense.EQ, _ZERO_RHS,
+                        ("flow", instr.uid, pred, block),
                     )
             # eq (3): every path through s(n) executes n (or its group's rhs).
             omega = self.a_expr(instr, self.OMEGA)
-            self.model.add_constraint(
-                self._as_expr(omega) == info.assign_rhs,
-                name=f"assign_{instr.uid}",
+            add_row(
+                [omega.index, *rhs_cols], [1.0, *rhs_coefs], Sense.EQ,
+                rhs_const, ("assign", instr.uid),
             )
 
     @staticmethod
-    def _is_const_zero(value):
-        if isinstance(value, (int, float)):
-            return value == 0
-        return False
-
-    @staticmethod
     def _as_expr(value):
-        from repro.ilp.expr import LinExpr, Var
-
         if isinstance(value, (LinExpr, Var)):
             return value if isinstance(value, LinExpr) else value.to_expr()
         return LinExpr(constant=float(value))
 
     def _global_precedence(self):
         """Equation (4): a[n,A] <= a[m,A] (+ relaxations) for deps (m, n)."""
+        add_row = self.model.add_row
         for edge in self.dep_edges():
             if edge.src not in self.info or edge.dst not in self.info:
                 continue
@@ -334,132 +416,155 @@ class SchedulingIlp:
                 info_n.related | {self.OMEGA}
             )
             common.discard(self.OMEGA)  # both sides are fixed there
+            entries = self._relax.get(edge)
             for block in sorted(common):
-                relax = self._relax_expr(edge, block)
                 lhs = self.a_expr(edge.dst, block)
                 rhs = self.a_expr(edge.src, block)
-                if self._is_const_zero(lhs):
+                if _is_const_zero(lhs):
                     continue
                 if isinstance(rhs, (int, float)) and rhs >= 1:
                     continue  # trivially satisfied (binary lhs)
-                self.model.add_constraint(
-                    self._as_expr(lhs) <= self._as_expr(rhs) + relax,
-                    name=f"gprec_{edge.src.uid}_{edge.dst.uid}_{block}",
+                l_cols, l_coefs, l_const = _affine(lhs)
+                r_cols, r_coefs, r_const = _affine(rhs)
+                x_cols, x_coefs, x_const = self._relax_row(entries, block)
+                add_row(
+                    [*l_cols, *r_cols, *x_cols],
+                    [*l_coefs, *[-c for c in r_coefs], *x_coefs],
+                    Sense.LE,
+                    _rhs(l_const, r_const + x_const),
+                    ("gprec", edge.src.uid, edge.dst.uid, block),
                 )
 
     def _local_precedence(self):
-        """Equation (5): tight OASIC in-block precedence constraints."""
+        """Equation (5): tight OASIC in-block precedence constraints.
+
+        Per cycle t: ``Σ_{t'<=t} x[n,A,t'] + Σ_{t'>=t-lat+1} x[m,A,t'] <= 1``
+        (+ relaxations) for each dependence m → n with latency lat.
+        """
+        add_row = self.model.add_row
+        xbase = self._xbase
         for edge in self.dep_edges():
             if edge.src not in self.info or edge.dst not in self.info:
                 continue
             info_m, info_n = self.info[edge.src], self.info[edge.dst]
             lat = edge.latency
+            entries = self._relax.get(edge)
             for block in sorted(info_m.theta & info_n.theta):
-                relax = self._relax_expr(edge, block)
+                x_cols, x_coefs, x_const = self._relax_row(entries, block)
+                rhs = _rhs(0.0, 1.0 + x_const)
                 length = self.lengths[block]
-                for t in self._grange(block):
-                    n_window = [
-                        self.x[(edge.dst, block, tn)]
-                        for tn in range(1, t + 1)
-                    ]
+                n0 = xbase[(edge.dst, block)] - 1  # x[n,A,t] is column n0 + t
+                m0 = xbase[(edge.src, block)] - 1
+                for t in range(1, length + 1):
                     m_lo = max(t - lat + 1, 1)
-                    m_window = [
-                        self.x[(edge.src, block, tm)]
-                        for tm in range(m_lo, length + 1)
-                    ]
-                    if not n_window or not m_window:
+                    if m_lo > length:
                         continue
-                    self.model.add_constraint(
-                        lin_sum(n_window) + lin_sum(m_window)
-                        <= self._as_expr(1) + relax,
-                        name=f"lprec_{edge.src.uid}_{edge.dst.uid}_{block}_{t}",
+                    cols = [*range(n0 + 1, n0 + t + 1), *range(m0 + m_lo, m0 + length + 1)]
+                    width = len(cols)
+                    if x_cols:
+                        cols += x_cols
+                        coefs = [1.0] * width + x_coefs
+                    else:
+                        coefs = None
+                    add_row(
+                        cols, coefs, Sense.LE, rhs,
+                        ("lprec", edge.src.uid, edge.dst.uid, block, t),
                     )
 
     def _resource_constraints(self):
-        """Equation (6) + unit-class limits for the Itanium 2 dispersal."""
+        """Equation (6) + unit-class limits for the Itanium 2 dispersal.
+
+        Per (block, cycle): the issue width (L-unit ops weigh 2), then one
+        row per unit class whose hosted instructions exceed its ports.
+        """
         ports = self.machine.ports
+        add_row = self.model.add_row
         hosting = {}
         for instr, info in self.info.items():
             for block in info.theta:
                 hosting.setdefault(block, []).append(instr)
         for block, instrs in hosting.items():
+            # x[i,block,t] is column base + t.
+            bases = [self._xbase[(i, block)] - 1 for i in instrs]
+            weights = [2.0 if i.unit is UnitKind.L else 1.0 for i in instrs]
+            caps = []
+            for kinds, port, tag in _UNIT_CAPS:
+                members = [b for i, b in zip(instrs, bases) if i.unit in kinds]
+                cap = getattr(ports, port)
+                if len(members) > cap:
+                    caps.append((members, cap, tag))
             for t in self._grange(block):
-                entries = [(i, self.x[(i, block, t)]) for i in instrs]
-                total = lin_sum(
-                    (2.0 if i.unit is UnitKind.L else 1.0) * v for i, v in entries
+                add_row(
+                    [b + t for b in bases], weights, Sense.LE,
+                    _rhs(0.0, ports.issue_width), ("width", block, t),
                 )
-                self.model.add_constraint(
-                    total <= ports.issue_width, name=f"width_{block}_{t}"
-                )
-                self._unit_cap(entries, (UnitKind.M,), ports.m_ports, block, t, "m")
-                self._unit_cap(
-                    entries, (UnitKind.I, UnitKind.L), ports.i_ports, block, t, "i"
-                )
-                self._unit_cap(entries, (UnitKind.F,), ports.f_ports, block, t, "f")
-                self._unit_cap(entries, (UnitKind.B,), ports.b_ports, block, t, "b")
-
-    def _unit_cap(self, entries, kinds, cap, block, t, tag):
-        members = [v for i, v in entries if i.unit in kinds]
-        if len(members) > cap:
-            self.model.add_constraint(
-                lin_sum(members) <= cap, name=f"unit{tag}_{block}_{t}"
-            )
+                for members, cap, tag in caps:
+                    add_row(
+                        [b + t for b in members], None, Sense.LE,
+                        _rhs(0.0, cap), (tag, block, t),
+                    )
 
     def _length_linking(self):
         """x[n,A,t] == 1 forces length(A) >= t.
 
-        Tight form: one row per x variable against the B-suffix sum.
+        Tight form: one row per x variable against the B-suffix sum,
+        ``x[n,A,t] <= Σ_{t'>=t} len[A,t']``.
         Compact form: one row per (block, cycle) bounding the cycle's
         total occupancy by width · suffix.
         """
-        suffix = {}
-        for block in self.region.fn.blocks:
-            name = block.name
-            length = self.lengths[name]
-            running = None
-            for t in range(length, 0, -1):
-                term = self.blen[(name, t)]
-                running = term.to_expr() if running is None else running + term
-                suffix[(name, t)] = running
+        add_row = self.model.add_row
+        lengths, lenbase = self.lengths, self._lenbase
         if self.tight_lengths:
-            for (instr, block, t), var in self.x.items():
-                self.model.add_constraint(
-                    var.to_expr() <= suffix[(block, t)],
-                    name=f"len_link_{instr.uid}_{block}_{t}",
-                )
+            for (instr, block), base in self._xbase.items():
+                length = lengths[block]
+                first = lenbase[block]
+                for t in range(1, length + 1):
+                    add_row(
+                        [base + t - 1, *range(first + t, first + length + 1)],
+                        [1.0] + [-1.0] * (length - t + 1),
+                        Sense.LE, _ZERO_RHS, ("len_link", instr.uid, block, t),
+                    )
             return
         by_cycle = {}
-        for (instr, block, t), var in self.x.items():
-            by_cycle.setdefault((block, t), []).append(var)
-        width = self.machine.issue_width
+        for (instr, block), base in self._xbase.items():
+            for t in range(1, lengths[block] + 1):
+                by_cycle.setdefault((block, t), []).append(base + t - 1)
+        width = -float(self.machine.issue_width)
         for (block, t), members in by_cycle.items():
-            self.model.add_constraint(
-                lin_sum(members) <= width * suffix[(block, t)],
-                name=f"len_link_{block}_{t}",
+            first, length = lenbase[block], lengths[block]
+            add_row(
+                [*members, *range(first + t, first + length + 1)],
+                [1.0] * len(members) + [width] * (length - t + 1),
+                Sense.LE, _ZERO_RHS, ("len_link", block, t),
             )
 
     def _branch_constraints(self):
-        """Branches sit exactly in the last cycle of their block (Sec. 5.4)."""
+        """Branches sit exactly in the last cycle of their block (Sec. 5.4):
+        ``x[br,A,t] <= len[A,t]``."""
+        add_row = self.model.add_row
         for instr, info in self.info.items():
             if not instr.is_branch:
                 continue
             block = info.source
+            base = self._xbase.get((instr, block))
+            if base is None:
+                continue
+            first = self._lenbase[block]
             for t in self._grange(block):
-                key = (instr, block, t)
-                if key not in self.x:
-                    continue
-                self.model.add_constraint(
-                    self.x[key].to_expr() <= self.blen[(block, t)].to_expr(),
-                    name=f"br_last_{instr.uid}_{t}",
+                add_row(
+                    [base + t - 1, first + t], [1.0, -1.0], Sense.LE, _ZERO_RHS,
+                    ("br_last", instr.uid, t),
                 )
 
     def _forced_copy_constraints(self):
-        """Extensions may force a copy in a block (cyclic motion latches)."""
+        """Extensions may force a copy in a block (cyclic motion latches):
+        ``Σ_t x[n,A,t] >= condition``."""
         for instr, block, condition in self.forced_copies:
-            total = self.x_sum(instr, block)
-            self.model.add_constraint(
-                self._as_expr(total) >= self._as_expr(condition),
-                name=f"force_{instr.uid}_{block}",
+            cols = self._x_cols(instr, block)
+            c_cols, c_coefs, c_const = _affine(condition)
+            self.model.add_row(
+                [*cols, *c_cols], [1.0] * len(cols) + [-c for c in c_coefs],
+                Sense.GE, _rhs(0.0, c_const), ("force", instr.uid, block),
             )
 
     def _bundling_constraints(self):
@@ -484,23 +589,26 @@ class SchedulingIlp:
         self._emit_bundling_cut(idx, members)
 
     def _emit_bundling_cut(self, idx, members):
+        """``Σ_{n in S} x[n,A,t] <= |S| - 1`` for every cycle t of A."""
         by_block = {}
         for instr, block in members:
             by_block.setdefault(block, []).append(instr)
         for block, instrs in by_block.items():
             if len(instrs) < 2:
                 continue
+            bases = [
+                self._xbase[(i, block)] - 1
+                for i in instrs
+                if (i, block) in self._xbase
+            ]
+            if len(bases) != len(instrs):
+                continue
             for t in self._grange(block):
-                terms = [
-                    self.x[(i, block, t)]
-                    for i in instrs
-                    if (i, block, t) in self.x
-                ]
-                if len(terms) == len(instrs):
-                    self.model.add_constraint(
-                        lin_sum(terms) <= len(terms) - 1,
-                        name=f"bundle_cut{idx}_{block}_{t}",
-                    )
+                self.model.add_row(
+                    [b + t for b in bases], None, Sense.LE,
+                    _rhs(0.0, len(bases) - 1),
+                    (f"bundle_cut{idx}", block, t),
+                )
 
     def _objective(self):
         """Equation (7): frequency-weighted sum of block lengths.
@@ -508,9 +616,10 @@ class SchedulingIlp:
         Extensions may register additional cost terms (e.g. the Sec. 5.1
         speculation cost model) through ``objective_extras``.
         """
-        terms = []
+        terms = {}
         for block in self.region.fn.blocks:
             for t in self._grange(block.name):
-                terms.append(block.freq * t * self.blen[(block.name, t)])
-        terms.extend(self.objective_extras)
-        self.model.set_objective(lin_sum(terms))
+                coef = float(block.freq * t)
+                if coef != 0.0:
+                    terms[self.blen[(block.name, t)]] = coef
+        self.model.set_objective(lin_sum([LinExpr(terms), *self.objective_extras]))

@@ -496,37 +496,40 @@ class ScheduleService:
                 obs.gauge("serve_queue_depth", float(self._queued))
             try:
                 if budget is None:
-                    self._solve_slots.acquire()
+                    acquired = self._solve_slots.acquire()
                 else:
                     remaining = budget - (time.perf_counter() - started)
                     acquired = self._solve_slots.acquire(
                         timeout=max(0.0, remaining)
                     )
-                    if not acquired:
-                        # Over-budget in the queue: run with a token
-                        # budget so the optimizer immediately degrades
-                        # to its input schedule — the request still
-                        # succeeds, truthfully marked fallback_input.
-                        if obs.ENABLED:
-                            obs.counter("serve_admission_timeouts_total")
-                        features = replace(features, time_limit=1e-6)
-                        self._solve_slots.acquire()
             finally:
                 self._queued -= 1
+            if not acquired:
+                # Over budget in the queue: serve the input schedule now,
+                # without waiting for a slot. A token budget makes the
+                # optimizer degrade to it at once, truthfully marked
+                # fallback_input (which is never stored).
+                if obs.ENABLED:
+                    obs.counter("serve_admission_timeouts_total")
+                features = replace(features, time_limit=1e-6)
+                return self._optimize(fn, features, hint), features
             try:
-                if budget is not None and features.time_limit > 1e-6:
+                if budget is not None:
                     remaining = max(
                         1e-6, budget - (time.perf_counter() - started)
                     )
                     features = replace(features, time_limit=remaining)
                 self.solves += 1
-                scheduler = IlpScheduler(
-                    machine=self.machine, features=features,
-                    partition_store=self.store,
-                )
-                return scheduler.optimize(fn, length_hint=hint), features
+                return self._optimize(fn, features, hint), features
             finally:
                 self._solve_slots.release()
+
+    def _optimize(self, fn, features, hint):
+        scheduler = IlpScheduler(
+            machine=self.machine, features=features,
+            partition_store=self.store,
+        )
+        return scheduler.optimize(fn, length_hint=hint)
 
     def _maybe_store(self, key, family, result, features, notes,
                      tightened=False):

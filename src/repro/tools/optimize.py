@@ -47,14 +47,22 @@ def _emit_function(result):
     """
     from repro.ir.block import BasicBlock
     from repro.ir.function import Function
+    from repro.ir.parser import parse_instruction
 
     fn = result.fn
     schedule = result.output_schedule
     out = Function(name=fn.name, live_in=set(fn.live_in), live_out=set(fn.live_out))
-    for name in schedule.block_order:
+    order = schedule.block_order
+    for index, name in enumerate(order):
         block = BasicBlock(name=name, freq=fn.block(name).freq)
         for instr in schedule.instructions_in(name):
             block.instructions.append(instr)
+        # An emptied block loses its unconditional branch (Sec. 5.4); when
+        # its successor is not next in layout, branch to it explicitly.
+        target = _fall_through_target(fn, block)
+        following = order[index + 1] if index + 1 < len(order) else None
+        if target is not None and target != following:
+            block.instructions.append(parse_instruction(f"br {target}"))
         out.add_block(block)
 
     check_blocks = {
@@ -79,14 +87,30 @@ def _emit_function(result):
             block.instructions.append(use.copy(origin=None))
         resume = check_blocks.get(group.check)
         if resume is not None:
-            from repro.ir.parser import parse_instruction
-
             block.instructions.append(parse_instruction(f"br {resume}"))
         out.add_block(block)
 
     for edge in fn.edges:
         out.add_edge(edge.src, edge.dst, edge.prob)
     return format_function(out)
+
+
+def _fall_through_target(fn, block):
+    """The successor ``block`` reaches by falling off its end, if any.
+
+    That is the one CFG successor of ``fn`` that none of the block's
+    branches targets, when the block does not end in an unconditional
+    branch or a return.
+    """
+    targets = set()
+    for instr in block.branches:
+        op = instr.op
+        if op.is_return or (instr.pred is None and not op.is_call):
+            return None
+        if not op.is_call:
+            targets.add(instr.target)
+    implicit = [s for s in dict.fromkeys(fn.successors(block.name)) if s not in targets]
+    return implicit[0] if len(implicit) == 1 else None
 
 
 def main(argv=None):

@@ -676,3 +676,34 @@ def test_deadline_follower_waits_no_longer_than_its_budget(
     assert not leader.is_alive()
     assert box["leader"].result.quality == "optimal"
     assert box["leader"].stored
+
+
+def test_admission_wait_is_bounded_by_the_deadline(
+    tmp_path, straight_fn, diamond_fn, monkeypatch
+):
+    svc = ScheduleService(
+        tmp_path / "cache", default_features=FEATURES, max_concurrent=1
+    )
+    gate = _GatedScheduler(monkeypatch, hold=lambda limit: limit > 1.0)
+    box = {}
+    long_solve = _start(svc, straight_fn, None, box, "long")
+    deadline = time.time() + 10
+    while not gate.limits and time.time() < deadline:
+        time.sleep(0.005)  # until the long solve holds the slot
+    assert gate.limits, "the long solve never started"
+    quick = _start(svc, diamond_fn, 0.1, box, "quick")
+    try:
+        quick.join(timeout=20)
+        # The long solve still holds the only slot; the 100 ms request
+        # got its input schedule without waiting for it.
+        assert not gate.release.is_set()
+        assert not quick.is_alive()
+        assert box["quick_wait"] < 0.1 + 1.0
+        assert box["quick"].result.quality == "fallback_input"
+        assert not box["quick"].stored
+    finally:
+        gate.release.set()
+        long_solve.join(timeout=60)
+    assert not long_solve.is_alive()
+    assert box["long"].result.quality == "optimal"
+    assert svc.solves == 1

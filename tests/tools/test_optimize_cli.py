@@ -114,3 +114,39 @@ def test_report_includes_phase_breakdown(asm_file, capsys):
     captured = capsys.readouterr()
     assert "phases:" in captured.err
     assert "phase 1" in captured.err
+
+
+# B holds one movable add and an unconditional branch to D; C, not D,
+# follows it in layout. Once the solver hoists the add and empties B, the
+# branch is dropped (Sec. 5.4), so the emitted B must branch to D itself.
+LOST_FALL_THROUGH = """
+.proc ft
+.livein r32, r33
+.liveout r8
+.block A freq=100 succ=B:0.5,C:0.5
+  add r14 = r32, r33
+  cmp.eq p6, p7 = r14, r0
+  (p6) br.cond C
+.block B freq=50
+  add r15 = r32, 1
+  br D
+.block C freq=50
+  add r15 = r33, 2
+.block D freq=100
+  add r8 = r15, r14
+  br.ret b0
+.endp
+"""
+
+
+def test_emptied_block_keeps_its_successor(tmp_path, capsys):
+    path = tmp_path / "ft.tia"
+    path.write_text(LOST_FALL_THROUGH)
+    assert main([str(path), "--time-limit", "30"]) == 0
+    emitted = parse_function(capsys.readouterr().out)
+    source = parse_function(LOST_FALL_THROUGH)
+    assert [i.mnemonic for i in emitted.block("B").instructions] == ["br"]
+    for block in source.blocks:
+        assert set(emitted.successors(block.name)) == set(
+            source.successors(block.name)
+        ), block.name
