@@ -62,14 +62,11 @@ def test_phase2_cost(benchmark, two_phase):
     assert result.verification.ok
 
 
-@pytest.mark.parametrize("tight", [True, False], ids=["tight", "compact"])
-def test_length_linking_mode(benchmark, tight):
-    """OASIC-grade per-variable linking vs aggregated compact rows."""
+def test_length_linking_mode(benchmark):
+    """Phase 1 alone under the OASIC-grade per-variable length linking."""
     fn = build_spec_routine("xfree", scale=SCALE)
     result = benchmark.pedantic(
-        lambda: optimize_function(
-            fn, _features(tight_lengths=tight, two_phase=False)
-        ),
+        lambda: optimize_function(fn, _features(two_phase=False)),
         rounds=1,
         iterations=1,
     )

@@ -18,11 +18,6 @@ Sections, each a dict in ``BENCH_solver.json`` at the repo root:
 * ``decompose``     — region decomposition (repro.sched.decompose) vs
   the whole-function ILP on multi-region generator routines: wall time
   must drop and bundle counts must not grow.
-* ``portfolio``     — backend racing (repro.ilp.portfolio) vs each
-  single backend on the same routines: aggregate wall clock must stay
-  within ~1.1x of the best single backend, quality must never decay,
-  and the raced schedule must match the winner's solo run byte for
-  byte.
 * ``swp``           — modulo scheduling (repro.sched.modulo) over the
   loop-dominated family: the II ladder must hit II = max(ResMII,
   RecMII) on >=80% of pipelined loops, every pipelined loop must pass
@@ -58,7 +53,6 @@ import argparse
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 import time
@@ -519,138 +513,6 @@ def bench_decompose(smoke):
     }
 
 
-def bench_portfolio(smoke):
-    """Portfolio racing vs each single backend on the same routines.
-
-    Runs a routine batch three ways — ``backend="highs"``,
-    ``backend="bb"``, and the racing ``backend="portfolio"`` — under one
-    time limit.  The gated claims: the race costs at most ~1.1x the best
-    single backend in aggregate (``portfolio_vs_best_ratio``, losers are
-    cancelled at the first proof, so the overhead is poll granularity
-    plus thread setup), ``quality_no_worse`` (the winner is one of the
-    single backends, so the racing layer can only match or improve the
-    tier), and ``schedules_match_winner`` (re-running the winning
-    backend solo reproduces the raced schedule byte for byte, checked
-    whenever one backend won every solve of a routine).
-    """
-    from repro.ir.printer import format_schedule
-    from repro.sched.scheduler import QUALITY_TIERS
-    from repro.workloads.spec_routines import build_spec_routine
-
-    # The racing regime is substantial solves (seconds of search, where
-    # a cancelled loser costs a poll tick); millisecond models would
-    # measure thread setup + GIL contention instead of the contract.
-    names = ["qSort3", "send_bits", "firstone"] if smoke else [
-        "qSort3", "send_bits", "firstone", "get_heap_head", "add_to_heap",
-    ]
-    scale = 0.4 if smoke else 0.5
-    time_limit = 20 if smoke else 40
-    roster = ("highs", "bb", "ordered:highs")
-    # Racing more lanes than cores just makes them steal each other's
-    # cycles; cap the concurrency so single-core boxes serialize (the
-    # race decides after the first proving lane and skips the rest).
-    lane_threads = min(len(roster), os.cpu_count() or 1)
-    base = dict(time_limit=time_limit)
-
-    def render(result):
-        # Recovery-stub labels embed process-global instruction uids,
-        # which drift between sequential in-process runs (separate
-        # tia-opt invocations number identically); normalize them so
-        # the comparison sees scheduling differences only.
-        text = format_schedule(result.output_schedule, result.fn)
-        return re.sub(r"recover_\d+", "recover_#", text)
-
-    def winners_of(result):
-        return [
-            s["portfolio"]["winner"]
-            for s in result.trace.solves
-            if s.get("portfolio")
-        ]
-
-    per_routine = {}
-    totals = {"highs": 0.0, "bb": 0.0, "portfolio": 0.0}
-    win_rate = {}
-    seed_transfers = 0
-    quality_no_worse = True
-    schedules_match_winner = True
-    matches_checked = 0
-    for name in names:
-        fn = build_spec_routine(name, scale=scale)
-        runs = {}
-        for backend in ("highs", "bb", "portfolio"):
-            features = ScheduleFeatures(
-                backend=backend,
-                portfolio_backends=roster,
-                portfolio_seed=0,
-                portfolio_threads=lane_threads,
-                **base,
-            )
-            t0 = time.perf_counter()
-            result = optimize_function(build_spec_routine(name, scale=scale),
-                                       features)
-            elapsed = time.perf_counter() - t0
-            runs[backend] = (result, elapsed)
-            totals[backend] += elapsed
-
-        raced, raced_seconds = runs["portfolio"]
-        best_single = min(
-            (runs[b][0].quality for b in ("highs", "bb")),
-            key=QUALITY_TIERS.index,
-        )
-        if QUALITY_TIERS.index(raced.quality) > QUALITY_TIERS.index(
-            best_single
-        ):
-            quality_no_worse = False
-        winners = winners_of(raced)
-        for winner in winners:
-            # A race can end with no winner (budget exhausted before any
-            # lane produced a point); keep it countable and sortable.
-            win_rate[winner or "none"] = win_rate.get(winner or "none", 0) + 1
-        for s in raced.trace.solves:
-            detail = s.get("portfolio")
-            if detail:
-                seed_transfers += detail.get("seed_transfers", 0)
-        matched = None
-        if winners and len(set(winners)) == 1 and winners[0] in runs:
-            matched = render(raced) == render(runs[winners[0]][0])
-            matches_checked += 1
-            if not matched:
-                schedules_match_winner = False
-        per_routine[name] = {
-            "highs_seconds": runs["highs"][1],
-            "bb_seconds": runs["bb"][1],
-            "portfolio_seconds": raced_seconds,
-            "quality": raced.quality,
-            "winners": winners,
-            "matched_winner_solo": matched,
-        }
-
-    best_total = min(totals["highs"], totals["bb"])
-    races = sum(win_rate.values())
-    return {
-        "routines": len(names),
-        "scale": scale,
-        "time_limit": time_limit,
-        "roster": list(roster),
-        "lane_threads": lane_threads,
-        "highs_seconds": totals["highs"],
-        "bb_seconds": totals["bb"],
-        "portfolio_seconds": totals["portfolio"],
-        "portfolio_vs_best_ratio": (
-            totals["portfolio"] / best_total if best_total else None
-        ),
-        "races": races,
-        "win_rate": {
-            runner: count / races for runner, count in sorted(win_rate.items())
-        } if races else {},
-        "seed_transfers": seed_transfers,
-        "quality_no_worse": quality_no_worse,
-        "schedules_match_winner": schedules_match_winner,
-        "matches_checked": matches_checked,
-        "per_routine": per_routine,
-    }
-
-
 def bench_swp(smoke):
     """Modulo scheduling on the loop-dominated family.
 
@@ -767,14 +629,14 @@ def main(argv=None):
     )
     parser.add_argument(
         "--sections",
-        default="root_lp,bb_throughput,cut_resolve,sweep,obs_overhead,decompose,portfolio,swp",
+        default="root_lp,bb_throughput,cut_resolve,sweep,obs_overhead,decompose,swp",
         help="comma list of sections to run",
     )
     args = parser.parse_args(argv)
     sections = set(args.sections.split(","))
     known = {
         "root_lp", "bb_throughput", "cut_resolve", "sweep", "obs_overhead",
-        "decompose", "portfolio", "swp",
+        "decompose", "swp",
     }
     unknown = sections - known
     if unknown:
@@ -813,12 +675,6 @@ def main(argv=None):
             k: v for k, v in report["decompose"].items() if k != "per_routine"
         }
         print(f"decompose: {json.dumps(summary, indent=2)}")
-    if "portfolio" in sections:
-        report["portfolio"] = bench_portfolio(args.smoke)
-        summary = {
-            k: v for k, v in report["portfolio"].items() if k != "per_routine"
-        }
-        print(f"portfolio: {json.dumps(summary, indent=2)}")
     if "swp" in sections:
         report["swp"] = bench_swp(args.smoke)
         summary = {

@@ -30,13 +30,12 @@ from repro.ilp.model import Model, Constraint, Sense
 from repro.ilp.status import SolveStatus, Solution, SolverStats
 from repro.ilp.branch_bound import BranchBoundSolver
 from repro.ilp.highs import HighsSolver
-from repro.ilp.portfolio import IncumbentBus, PortfolioSolver, RunnerControl
 from repro.ilp.simplex import SimplexSolver, LpResult
 
 #: Backends :func:`solve_model` dispatches on; eager feature validation
 #: (``ScheduleFeatures.__post_init__``) and the CLIs list these instead of
 #: hard-coding their own copies.
-KNOWN_BACKENDS = ("highs", "bb", "portfolio")
+KNOWN_BACKENDS = ("highs", "bb")
 
 __all__ = [
     "Var",
@@ -50,9 +49,6 @@ __all__ = [
     "SolverStats",
     "BranchBoundSolver",
     "HighsSolver",
-    "PortfolioSolver",
-    "IncumbentBus",
-    "RunnerControl",
     "SimplexSolver",
     "LpResult",
     "KNOWN_BACKENDS",
@@ -95,8 +91,6 @@ def solve_model(
         solver = HighsSolver(**kwargs)
     elif backend == "bb":
         solver = BranchBoundSolver(**kwargs)
-    elif backend == "portfolio":
-        solver = PortfolioSolver(**kwargs)
     else:
         raise ValueError(
             f"unknown ILP backend: {backend!r} "

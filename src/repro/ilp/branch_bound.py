@@ -272,14 +272,6 @@ class BranchBoundSolver:
     dive_first:
         Explore depth-first from the root until the first incumbent, then
         switch to best-bound order.
-    control:
-        Optional :class:`repro.ilp.portfolio.RunnerControl` (or anything
-        duck-typed like it). The node loop checks ``control.cancelled()``
-        each iteration — a cancelled search exits like a timeout, with
-        its best incumbent — and on the gap-sample cadence publishes its
-        incumbent/dual bound to the portfolio bus and polls for external
-        incumbents, which are validated against this model and adopted
-        only when strictly better.
     """
 
     def __init__(
@@ -289,14 +281,12 @@ class BranchBoundSolver:
         relaxation="scipy",
         rounding_heuristic=True,
         dive_first=True,
-        control=None,
     ):
         self.time_limit = time_limit
         self.node_limit = node_limit
         self.relaxation = relaxation
         self.rounding_heuristic = rounding_heuristic
         self.dive_first = dive_first
-        self.control = control
 
     # -- public -------------------------------------------------------------
     def solve(self, model, incumbent=None, cutoff=None, fault_site=None):
@@ -453,8 +443,6 @@ class BranchBoundSolver:
         tie = 0
         proven = True  # no unknown relaxations dropped
         timed_out = False
-        cancelled = False
-        dropped_bound = math.inf  # min bound over unknown-LP subtrees
         diving = self.dive_first and incumbent_x is None
 
         def push(node):
@@ -485,43 +473,7 @@ class BranchBoundSolver:
                 label=label,
             )
 
-        def bus_exchange(extra_bound=None):
-            """Portfolio cross-seeding on the gap-sample cadence."""
-            nonlocal incumbent_x, incumbent_obj, diving
-            control = self.control
-            if incumbent_x is not None:
-                control.publish_incumbent(incumbent_x, incumbent_obj)
-            shared = min(
-                b
-                for b in (
-                    open_bound(extra_bound),
-                    dropped_bound,
-                    incumbent_obj,
-                )
-                if b is not None
-            )
-            if math.isfinite(shared):
-                control.publish_bound(shared)
-            polled = control.poll_incumbent()
-            if polled is None:
-                return
-            values, objective = polled
-            if objective >= incumbent_obj - 1e-9:
-                return
-            adopted = self._validate_incumbent(model, values, oracle, int_idx)
-            if adopted is not None and adopted[1] < incumbent_obj - 1e-9:
-                incumbent_x, incumbent_obj = adopted
-                control.note_adoption()
-                if diving:
-                    diving = False
-                    self._flush_dive(dive, push)
-                take_sample(label="seed")
-
         while dive or heap:
-            if self.control is not None and self.control.cancelled():
-                cancelled = True
-                timed_out = True
-                break
             if self.time_limit is not None and (
                 time.perf_counter() - start > self.time_limit
             ):
@@ -541,14 +493,11 @@ class BranchBoundSolver:
             stats.lp_solves += 1
             if stats.nodes % _GAP_SAMPLE_NODES == 0:
                 take_sample(extra_bound=node.bound)
-                if self.control is not None:
-                    bus_exchange(extra_bound=node.bound)
             if node.basis is not None:
                 stats.warm_starts += 1
             if status == "unknown":
                 stats.unknown_lps += 1
                 proven = False
-                dropped_bound = min(dropped_bound, node.bound)
                 continue
             if status != "optimal":
                 continue
@@ -564,8 +513,6 @@ class BranchBoundSolver:
                     diving = False
                     self._flush_dive(dive, push)
                 take_sample(label="incumbent")
-                if self.control is not None:
-                    self.control.publish_incumbent(incumbent_x, incumbent_obj)
                 continue
             self._branch(
                 push, node_x, node_obj, node.deltas, node_basis, pseudo, int_idx,
@@ -580,15 +527,6 @@ class BranchBoundSolver:
             stats.best_bound = min(open_bounds, default=incumbent_obj)
         else:
             stats.best_bound = incumbent_obj if incumbent_x is not None else None
-        if self.control is not None:
-            # Final cross-seed so a cancelled/exhausted lane's progress
-            # still reaches the survivors (and the combined proof).
-            if incumbent_x is not None:
-                self.control.publish_incumbent(incumbent_x, incumbent_obj)
-            if stats.best_bound is not None:
-                exit_bound = min(stats.best_bound, dropped_bound)
-                if math.isfinite(exit_bound):
-                    self.control.publish_bound(exit_bound)
         if incumbent_x is None:
             stats.time_seconds = time.perf_counter() - start
             if timed_out or had_cutoff or not proven:

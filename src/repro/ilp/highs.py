@@ -46,14 +46,6 @@ class HighsSolver:
         tree; on the Table 2 routines this halves solve time while the
         gap tolerance (and hence the proven optimum) is unchanged.
         ``None`` keeps the HiGHS default.
-    control:
-        Optional :class:`repro.ilp.portfolio.RunnerControl`. scipy's
-        ``milp`` is one blocking C call with no solve callback, so
-        cooperation is coarse: the cancel flag is honoured *before* the
-        call (a cancelled lane returns NO_SOLUTION without searching) and
-        the result is published to the portfolio bus afterwards; a lane
-        cancelled mid-call simply runs out its (deadline-clipped)
-        ``time_limit``.
     """
 
     def __init__(
@@ -62,13 +54,11 @@ class HighsSolver:
         node_limit=None,
         mip_rel_gap=0.0,
         heuristic_effort=0.5,
-        control=None,
     ):
         self.time_limit = time_limit
         self.node_limit = node_limit
         self.mip_rel_gap = mip_rel_gap
         self.heuristic_effort = heuristic_effort
-        self.control = control
 
     def solve(self, model, incumbent=None, cutoff=None, fault_site=None):
         """Solve ``model``; see :func:`repro.ilp.solve_model` for the API.
@@ -131,10 +121,6 @@ class HighsSolver:
 
     def _solve_impl(self, model, incumbent, cutoff):
         start = time.perf_counter()
-        if self.control is not None and self.control.cancelled():
-            stats = SolverStats(backend="highs")
-            stats.gap_timeline = _fault_timeline("NO_SOLUTION")
-            return Solution(SolveStatus.NO_SOLUTION, stats=stats)
         # scipy's milp exposes no solve callback, so the timeline is the
         # coarsest honest record HiGHS allows: an opening sample before
         # the search and a closing one with the final incumbent/dual

@@ -50,10 +50,6 @@ class SolverStats:
     # Plain-data pseudocost-table snapshot (bb backend; top branching
     # variables by history, see ``_Pseudocosts.snapshot``).
     pseudocosts: object = None
-    # Race breakdown when ``backend == "portfolio"`` (plain dict: roster,
-    # winner, proof kind, per-lane status/fault/seed-transfer counts; see
-    # ``PortfolioSolver._detail``). ``None`` for single-backend solves.
-    portfolio: object = None
 
 
 @dataclass

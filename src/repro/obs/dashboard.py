@@ -34,7 +34,6 @@ import json
 from repro.obs.insight import (
     aggregate_paper_metrics,
     decompose_summary,
-    portfolio_summary,
     serve_summary,
     swp_summary,
 )
@@ -430,45 +429,6 @@ def _cache_section(metrics):
     )
 
 
-def _portfolio_section(metrics):
-    """Solver-portfolio panel: per-runner win/loss table + race health."""
-    digest = portfolio_summary(metrics)
-    if not digest["races"]:
-        return "<p class='note'>no portfolio races recorded</p>"
-    runners = sorted(
-        set(digest["wins"]) | set(digest["losses"]) | set(digest["cancelled"])
-    )
-    runner_rows = "".join(
-        "<tr>"
-        f"<td class='name'>{_esc(runner)}</td>"
-        f"<td>{_fmt(digest['wins'].get(runner, 0))}</td>"
-        f"<td>{_fmt(digest['losses'].get(runner, 0))}</td>"
-        f"<td>{_fmt(digest['win_rate'].get(runner, 0.0))}</td>"
-        f"<td>{_fmt(digest['cancelled'].get(runner, 0))}</td>"
-        "</tr>"
-        for runner in runners
-    )
-    proof_mix = ", ".join(
-        f"{kind}: {count:g}"
-        for kind, count in sorted(digest["proofs"].items())
-    ) or "none"
-    health_rows = "".join(
-        f"<tr><td class='name'>{_esc(label)}</td><td>{_fmt(value)}</td></tr>"
-        for label, value in (
-            ("races", digest["races"]),
-            ("seed transfers (adopted)", digest["seed_transfers"]),
-            ("incumbents published", digest["incumbents_published"]),
-            ("lane faults (absorbed)", digest["lane_faults"]),
-            ("proofs", proof_mix),
-        )
-    )
-    return (
-        "<table><tr><th>runner</th><th>wins</th><th>losses</th>"
-        f"<th>win rate</th><th>cancelled</th></tr>{runner_rows}</table>"
-        f"<table><tr><th>series</th><th>value</th></tr>{health_rows}</table>"
-    )
-
-
 def _swp_section(metrics):
     """Software-pipelining panel: status mix + II-quality health rows."""
     digest = swp_summary(metrics)
@@ -558,7 +518,6 @@ def _telemetry_section(telemetry):
         f"<td>{_fmt(entry.get('requests'))}</td>"
         f"<td>{_fmt((entry.get('cache_kinds') or {}).get('exact', 0))}</td>"
         f"<td>{_fmt((entry.get('cache_kinds') or {}).get('miss', 0))}</td>"
-        f"<td>{_esc(', '.join(f'{s}:{n}' for s, n in sorted((entry.get('portfolio_wins') or {}).items())) or '-')}</td>"
         "</tr>"
         for family, entry in sorted(
             families.items(), key=lambda kv: -(kv[1].get("requests") or 0)
@@ -566,7 +525,7 @@ def _telemetry_section(telemetry):
     )
     family_table = (
         "<table><tr><th>family</th><th>reqs</th><th>exact</th>"
-        f"<th>miss</th><th>portfolio wins</th></tr>{family_rows}</table>"
+        f"<th>miss</th></tr>{family_rows}</table>"
         if family_rows
         else ""
     )
@@ -639,7 +598,6 @@ def render_dashboard(trace=None, metrics=None, title="tia observatory",
         "<h2>Bundling-cut effectiveness</h2>", _cut_section(events),
         "<h2>Paper metrics (Table 1/2 shape)</h2>", _paper_section(events),
         "<h2>Schedule cache</h2>", _cache_section(metrics),
-        "<h2>Solver portfolio</h2>", _portfolio_section(metrics),
         "<h2>Software pipelining</h2>", _swp_section(metrics),
         "<h2>Fleet telemetry</h2>", _telemetry_section(telemetry),
         "<h2>Metrics</h2>", _metrics_section(metrics),

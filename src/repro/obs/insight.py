@@ -165,9 +165,6 @@ def solve_telemetry(site, backend, solution):
     pseudocosts = getattr(stats, "pseudocosts", None)
     if pseudocosts:
         entry["pseudocosts"] = pseudocosts
-    portfolio = getattr(stats, "portfolio", None)
-    if portfolio:
-        entry["portfolio"] = portfolio
     return entry
 
 
@@ -357,57 +354,6 @@ def decompose_summary(metrics):
         "solves": solves,
         "solve_seconds": seconds,
         "mean_solve_seconds": seconds / solves if solves else 0.0,
-    }
-
-
-def portfolio_summary(metrics):
-    """Solver-portfolio digest from a ``--metrics`` dump.
-
-    Same input shape as :func:`serve_summary`.  Returns ``{"races",
-    "wins": {runner: n}, "losses": {runner: n}, "win_rate": {runner:
-    fraction-of-races-won}, "cancelled": {runner: n}, "lane_faults",
-    "seed_transfers", "incumbents_published", "proofs": {kind: n}}`` —
-    the numbers behind the dashboard's portfolio panel and the raw
-    material for the ROADMAP's telemetry-driven backend auto-tuner
-    (per-family win-rates).  All fields default to zero/empty, so the
-    digest is safe on an obs-disabled (empty) dump.
-    """
-    metrics = metrics or {}
-    counters = metrics.get("counters", {}) or {}
-
-    def _by_label(prefix, label):
-        out = {}
-        marker = f'{prefix}{{{label}="'
-        for key, value in counters.items():
-            if not key.startswith(marker):
-                continue
-            if not isinstance(value, (int, float)):
-                continue
-            name = key[len(marker):].split('"', 1)[0]
-            out[name] = out.get(name, 0) + value
-        return out
-
-    def _sum(prefix):
-        return sum(
-            value for key, value in counters.items()
-            if (key == prefix or key.startswith(prefix + "{"))
-            and isinstance(value, (int, float))
-        )
-
-    races = _sum("portfolio_races_total")
-    wins = _by_label("portfolio_wins_total", "runner")
-    return {
-        "races": races,
-        "wins": wins,
-        "losses": _by_label("portfolio_losses_total", "runner"),
-        "win_rate": {
-            runner: count / races for runner, count in wins.items()
-        } if races else {},
-        "cancelled": _by_label("portfolio_cancelled_total", "runner"),
-        "lane_faults": _sum("portfolio_lane_faults_total"),
-        "seed_transfers": _sum("portfolio_seed_transfers_total"),
-        "incumbents_published": _sum("portfolio_incumbents_published_total"),
-        "proofs": _by_label("portfolio_proofs_total", "proof"),
     }
 
 

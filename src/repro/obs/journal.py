@@ -1,9 +1,8 @@
 """``repro.obs.journal`` — the crash-safe persistent telemetry journal.
 
 Everything the obs layer records dies with its process: metrics dumps
-are per-run, the fleet daemon's counters evaporate at exit, and the
-portfolio's per-family win rates — the feed the ROADMAP auto-tuner
-needs — never touch disk.  This module is the durable substrate: an
+are per-run and the fleet daemon's counters evaporate at exit.  This
+module is the durable substrate: an
 **append-only JSONL journal** written by the serving tier on every
 request exit path and read back by ``tia-telemetry`` (and, eventually,
 ``tia-tune``).
@@ -61,8 +60,9 @@ _SHARD_PREFIX = "shard-"
 _SHARD_SUFFIX = ".jsonl"
 
 # Record kinds the schema knows. "request" is one fleet request exit;
-# "portfolio_summary" is the drain-time persistence of the per-family
-# portfolio win-rate counters; "note" is free-form (markers, tests).
+# "portfolio_summary" is the drain-time persistence of the daemon's
+# counters (the name predates the removal of the solver race and is kept
+# so existing journals still verify); "note" is free-form (markers, tests).
 RECORD_KINDS = ("request", "portfolio_summary", "note")
 
 # Outcomes a request record may carry — the fleet daemon's exit paths.
@@ -148,7 +148,6 @@ def request_record(
     features=None,
     timings=None,
     cache_kinds=None,
-    portfolio=None,
     shed_reason=None,
     error=None,
     fault=None,
@@ -160,8 +159,7 @@ def request_record(
     ``outcome`` is the exit path (:data:`REQUEST_OUTCOMES`);
     ``routines`` is a list of ``{routine, kind, quality}`` dicts;
     ``features`` the effective wire-safe :class:`ScheduleFeatures`
-    knobs; ``timings`` ``{queue_wait, solve, total}`` seconds;
-    ``portfolio`` ``{winner, seed_transfers}`` when a race ran.
+    knobs; ``timings`` ``{queue_wait, solve, total}`` seconds.
     ``seal=False`` leaves the sealing to :meth:`TelemetryJournal.append`,
     which seals every record it writes, so it is done once.
     """
@@ -187,8 +185,6 @@ def request_record(
         }
     if cache_kinds:
         record["cache_kinds"] = dict(cache_kinds)
-    if portfolio:
-        record["portfolio"] = dict(portfolio)
     if shed_reason is not None:
         record["shed_reason"] = shed_reason
     if error is not None:

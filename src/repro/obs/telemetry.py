@@ -16,9 +16,10 @@ daemon's own ``stats`` counters exactly (one record per exit path is
 the invariant that makes this possible): ``completed`` = ``ok``
 records, ``shed`` = ``busy``, ``drained`` = ``drained``, ``probes`` =
 ``probe``, ``accept_errors`` = ``fault``, and ``rejected`` =
-``busy + drained + error + fault``.  Drain-time ``portfolio_summary``
-records carry each replica's own counter snapshot, so the rollup can
-cross-check itself against what the daemon believed at exit.
+``busy + drained + error + fault``.  Drain-time records (kind
+``portfolio_summary``, a historical name) carry each replica's own
+counter snapshot, so the rollup can cross-check itself against what
+the daemon believed at exit.
 
 **SLO rules** are comparisons against rollup metrics, written
 ``metric<=value`` / ``metric>=value`` (inline ``--rule``, repeatable)
@@ -73,7 +74,9 @@ class SloRuleError(ValueError):
 
 
 # -- rollup -------------------------------------------------------------------
-def _percentiles(values):
+def percentiles(values):
+    """Count, mean, p50, p99 and max of latency ``values`` (seconds);
+    ``None`` for an empty sample.  Shared with ``tia-serve``'s stats."""
     if not values:
         return None
     ordered = sorted(values)
@@ -107,8 +110,10 @@ def journal_rollup(root):
     Pure read — never mutates shards.  The rollup carries the outcome
     histogram, the reconstructed daemon counters, latency percentiles
     of served requests, the cache-hit mix, per-family activity and the
-    drain-time portfolio/counter summaries, keyed exactly as the SLO
-    metrics and the dashboard panel expect.
+    drain-time counter summaries, keyed exactly as the SLO metrics and
+    the dashboard panel expect.  Members of older journals that nothing
+    reads any more (request ``portfolio``, drain ``families``) are
+    ignored.
     """
     outcomes = {}
     shed_reasons = {}
@@ -136,7 +141,6 @@ def journal_rollup(root):
             summaries.append(
                 {
                     "replica": record.get("replica"),
-                    "families": record.get("families") or {},
                     "counters": record.get("counters") or {},
                     "drain_reason": record.get("drain_reason"),
                     "write_errors": int(record.get("write_errors") or 0),
@@ -178,8 +182,6 @@ def journal_rollup(root):
                     "requests": 0,
                     "cache_kinds": {},
                     "quality_tiers": {},
-                    "portfolio_wins": {},
-                    "seed_transfers": 0,
                     "totals": [],
                 },
             )
@@ -194,18 +196,11 @@ def journal_rollup(root):
                     entry["quality_tiers"][quality] = (
                         entry["quality_tiers"].get(quality, 0) + 1
                     )
-            portfolio = record.get("portfolio") or {}
-            if portfolio.get("winner"):
-                winner = portfolio["winner"]
-                entry["portfolio_wins"][winner] = (
-                    entry["portfolio_wins"].get(winner, 0) + 1
-                )
-            entry["seed_transfers"] += int(portfolio.get("seed_transfers") or 0)
             if isinstance(timings.get("total"), (int, float)):
                 entry["totals"].append(float(timings["total"]))
 
     for entry in families.values():
-        entry["latency"] = _percentiles(entry.pop("totals"))
+        entry["latency"] = percentiles(entry.pop("totals"))
 
     non_probe = sum(
         count for outcome, count in outcomes.items() if outcome != "probe"
@@ -233,12 +228,12 @@ def journal_rollup(root):
         "cache_kinds": cache_kinds,
         "cache_hit_rate": hits / routines_served if routines_served else None,
         "latency": {
-            "total": _percentiles(totals),
-            "queue_wait": _percentiles(queue_waits),
-            "solve": _percentiles(solves),
+            "total": percentiles(totals),
+            "queue_wait": percentiles(queue_waits),
+            "solve": percentiles(solves),
         },
         "families": families,
-        "portfolio_summaries": summaries,
+        "drain_summaries": summaries,
         "replicas": sorted(replicas),
         "distinct_traces": len(traces),
         "span_seconds": (
@@ -452,25 +447,18 @@ def render_report(rollup):
 def render_families(rollup):
     lines = [
         f"{'family':16s} {'reqs':>5s} {'exact':>6s} {'family':>6s} "
-        f"{'miss':>5s} {'p99s':>8s} {'portfolio wins':s}"
+        f"{'miss':>5s} {'p99s':>8s}"
     ]
     for family, entry in sorted(
         rollup["families"].items(), key=lambda kv: -kv[1]["requests"]
     ):
         kinds = entry["cache_kinds"]
         lat = entry["latency"]
-        wins = (
-            ", ".join(
-                f"{spec}:{count}"
-                for spec, count in sorted(entry["portfolio_wins"].items())
-            )
-            or "-"
-        )
         lines.append(
             f"{family[:16]:16s} {entry['requests']:5d} "
             f"{kinds.get('exact', 0):6d} {kinds.get('family', 0):6d} "
             f"{kinds.get('miss', 0):5d} "
-            f"{lat['p99_seconds'] if lat else float('nan'):8.4f} {wins}"
+            f"{lat['p99_seconds'] if lat else float('nan'):8.4f}"
         )
     return "\n".join(lines)
 

@@ -86,15 +86,10 @@ class SchedulingIlp:
 
     OMEGA = "__omega__"
 
-    def __init__(self, region, lengths, machine, name="sched", tight_lengths=True):
+    def __init__(self, region, lengths, machine, name="sched"):
         self.region = region
         self.lengths = lengths
         self.machine = machine
-        # Tight mode links every x variable to the block-length suffix
-        # individually (OASIC-grade LP bound, ~|x| extra rows); compact
-        # mode aggregates per (block, cycle) through the width constraint
-        # (far fewer rows, weaker relaxation). Both are exact as ILPs.
-        self.tight_lengths = tight_lengths
         self.model = Model(name)
 
         self.x = {}  # (instr, block, t) -> Var
@@ -507,36 +502,20 @@ class SchedulingIlp:
     def _length_linking(self):
         """x[n,A,t] == 1 forces length(A) >= t.
 
-        Tight form: one row per x variable against the B-suffix sum,
-        ``x[n,A,t] <= Σ_{t'>=t} len[A,t']``.
-        Compact form: one row per (block, cycle) bounding the cycle's
-        total occupancy by width · suffix.
+        One row per x variable against the block-length suffix sum,
+        ``x[n,A,t] <= Σ_{t'>=t} len[A,t']`` (the OASIC-grade LP bound).
         """
         add_row = self.model.add_row
         lengths, lenbase = self.lengths, self._lenbase
-        if self.tight_lengths:
-            for (instr, block), base in self._xbase.items():
-                length = lengths[block]
-                first = lenbase[block]
-                for t in range(1, length + 1):
-                    add_row(
-                        [base + t - 1, *range(first + t, first + length + 1)],
-                        [1.0] + [-1.0] * (length - t + 1),
-                        Sense.LE, _ZERO_RHS, ("len_link", instr.uid, block, t),
-                    )
-            return
-        by_cycle = {}
         for (instr, block), base in self._xbase.items():
-            for t in range(1, lengths[block] + 1):
-                by_cycle.setdefault((block, t), []).append(base + t - 1)
-        width = -float(self.machine.issue_width)
-        for (block, t), members in by_cycle.items():
-            first, length = lenbase[block], lengths[block]
-            add_row(
-                [*members, *range(first + t, first + length + 1)],
-                [1.0] * len(members) + [width] * (length - t + 1),
-                Sense.LE, _ZERO_RHS, ("len_link", block, t),
-            )
+            length = lengths[block]
+            first = lenbase[block]
+            for t in range(1, length + 1):
+                add_row(
+                    [base + t - 1, *range(first + t, first + length + 1)],
+                    [1.0] + [-1.0] * (length - t + 1),
+                    Sense.LE, _ZERO_RHS, ("len_link", instr.uid, block, t),
+                )
 
     def _branch_constraints(self):
         """Branches sit exactly in the last cycle of their block (Sec. 5.4):

@@ -13,8 +13,7 @@ its ILP model; this package is the production version of that extension
     The genuinely *modulo* ILP: decision variables per (instruction,
     row = cycle mod II, stage), modulo reservation-table constraints,
     and a stage-count/register-pressure bound — emitted as a standard
-    :class:`repro.ilp.Model`, so every backend (including the
-    portfolio race) solves it.
+    :class:`repro.ilp.Model`, so every backend solves it.
 ``repro.sched.modulo.ladder``
     The deadline-aware II search: MII upward with per-rung budget
     splits, §8-style degradation to the time-indexed ``swp``

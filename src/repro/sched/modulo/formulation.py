@@ -32,7 +32,7 @@ The objective minimizes ``Σ t_n``: flat schedules first, which keeps
 the stage count — and therefore prologue/epilogue size — small.
 
 The model is a standard :class:`repro.ilp.Model`, so it solves through
-every existing backend, including the portfolio race.
+every existing backend.
 """
 
 from __future__ import annotations

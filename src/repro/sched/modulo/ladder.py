@@ -14,7 +14,7 @@ The rungs, in degradation order:
    candidate II from MII upward the remaining ladder budget is split
    evenly over the remaining rungs, so an early II that is *almost*
    feasible cannot starve the rest of the climb; any backend solves the
-   model, including the portfolio race.
+   model.
 2. **Time-indexed fallback** (:mod:`repro.sched.swp`): the previous
    formulation, kept as its own rung — a different relaxation
    occasionally finds a kernel the (row, stage)-bounded model rejects
@@ -128,13 +128,10 @@ def pipeline_loop(
     ever spends its *remaining* budget); ``time_limit`` additionally
     caps what this one loop may consume.  ``features`` + ``store``
     enable the ``kind="loop"`` cache; both optional.  ``solve_extra``
-    passes backend kwargs through (the portfolio roster/seed/threads) —
-    a stale ``scheduling_ilp`` entry is dropped, the modulo model is
-    not a scheduling formulation.
+    passes backend kwargs (``heuristic_effort``) through to every solve.
     """
     deadline = deadline if deadline is not None else Deadline(None)
     extra = dict(solve_extra or {})
-    extra.pop("scheduling_ilp", None)
     outcome = LoopPipelineOutcome(loop_header=loop.header,
                                   status="unpipelined")
     started = deadline.elapsed()
@@ -206,8 +203,8 @@ def pipeline_loop(
         if remaining is not None:
             budget = min(budget or remaining, remaining)
         fallback = ModuloScheduler(
-            machine=machine, backend=backend if backend != "portfolio"
-            else "highs", time_limit=budget, max_ii=max_ii,
+            machine=machine, backend=backend, time_limit=budget,
+            max_ii=max_ii,
         )
         try:
             with _span(trace, "swp.fallback", loop=loop.header):

@@ -87,10 +87,6 @@ def minimize_instruction_count(
     extra = dict(solve_extra) if solve_extra else {}
     if backend == "highs" and "heuristic_effort" not in extra:
         extra["heuristic_effort"] = heuristic_effort
-    if backend == "portfolio":
-        # The ordered lanes re-encode from the formulation owning this
-        # (pinned, re-objectived) model — never a stale phase-1 one.
-        extra["scheduling_ilp"] = ilp
     solution = solve_model(
         model,
         backend=backend,

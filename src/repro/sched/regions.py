@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
+from repro.ir.alias import must_order
 from repro.ir.ddg import DepKind
 
 
@@ -275,20 +276,37 @@ def _variant_loops(region, instr, source):
 
 
 def _confine_variant_store(region, store):
-    """Keep a store inside every loop that changes its address or value.
+    """Keep a store inside every loop that changes its address or value,
+    or that may overwrite what it wrote.
 
     Moved out of a loop, a store runs once instead of once per
     iteration. That is right only for a loop-invariant store, which
-    writes the same value to the same address every time; a store
-    whose address comes from a per-iteration load would drop all but
-    one of its writes.
+    writes the same value to the same address every time, and only
+    when nothing else in the loop can write that address in between: a
+    call, or another store that :func:`must_order` says it may alias
+    (alias classes alone do not prove disjointness for stores).
     """
     source = region.source_block[store]
     for loop in _containing_loops(region.cfg, source):
-        if _varies_in_loop(region, store, loop):
+        if _varies_in_loop(region, store, loop) or _may_overwrite_in_loop(
+            region, store, loop
+        ):
             region.theta[store] = {
                 b for b in region.theta[store] if b in loop.blocks
             }
+
+
+def _may_overwrite_in_loop(region, store, loop):
+    """Does ``loop`` hold a call, or another store that may alias ``store``?"""
+    for name in loop.blocks:
+        for instr in region.fn.block(name).instructions:
+            if instr.is_call:
+                return True
+            if instr.is_store and instr is not store and must_order(
+                instr.mem, store.mem
+            ):
+                return True
+    return False
 
 
 def _varies_in_loop(region, instr, loop):

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import BundlingError, SchedulingError
 from repro.ilp import KNOWN_BACKENDS, SolveStatus, solve_model
-from repro.ilp.portfolio import KNOWN_RUNNERS
 from repro.obs import core as obs
 from repro.obs import insight
 from repro.ir.cfg import CfgInfo
@@ -128,21 +127,12 @@ class ScheduleFeatures:
     incremental_cuts: bool = True  # append cut rows / reuse built model
     phase2_objective: str = "instructions"  # | "register_pressure" | "stalls"
     baseline: str = "local"  # input-schedule heuristic: "local" | "greedy"
-    tight_lengths: bool = True  # OASIC-grade length linking vs compact rows
     verify: bool = True
     backend: str = "highs"
     time_limit: float | None = 120.0
     # Share of solve time HiGHS spends on primal heuristics (None = the
     # HiGHS default). Ignored by the "bb" backend. See HighsSolver.
     heuristic_effort: float | None = 0.5
-    # backend="portfolio" only: the runner roster raced on every solve
-    # (entries from repro.ilp.portfolio.KNOWN_RUNNERS — single-backend
-    # names plus "ordered:<backend>" for the order/disjunctive encoding),
-    # the tie-break seed that keeps tia-opt output byte-identical
-    # run-to-run, and the cap on concurrently racing lanes (None = all).
-    portfolio_backends: tuple = ("highs", "bb", "ordered:highs")
-    portfolio_seed: int = 0
-    portfolio_threads: int | None = None
     reserve: int = 1  # G_A head-room (Sec. 6.1, k)
     freq_cap: float = 5.0  # speculation frequency factor (5.1)
     speculation_cost: float = 0.0  # Sec. 5.1 cost model weight (paper: unused)
@@ -174,29 +164,12 @@ class ScheduleFeatures:
 
     def __post_init__(self):
         # Fail at construction with the full menu, not deep inside
-        # _optimize_impl on an unknown string (and not per-lane inside a
-        # race for a bad roster entry).
+        # _optimize_impl on an unknown string.
         if self.backend not in KNOWN_BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r} "
                 f"(expected one of {', '.join(KNOWN_BACKENDS)})"
             )
-        roster = tuple(self.portfolio_backends)
-        object.__setattr__(self, "portfolio_backends", roster)
-        if self.backend == "portfolio":
-            if not roster:
-                raise ValueError(
-                    "backend='portfolio' requires a non-empty "
-                    "portfolio_backends roster"
-                )
-            unknown = [r for r in roster if r not in KNOWN_RUNNERS]
-            if unknown:
-                raise ValueError(
-                    f"unknown portfolio runner(s) {unknown!r} "
-                    f"(expected one of {', '.join(KNOWN_RUNNERS)})"
-                )
-        if self.portfolio_threads is not None and self.portfolio_threads < 1:
-            raise ValueError("portfolio_threads must be >= 1 (or None)")
         if self.swp_max_ii < 1:
             raise ValueError("swp_max_ii must be >= 1")
         if self.swp_max_stages < 1:
@@ -700,10 +673,6 @@ class IlpScheduler:
                     build = self._ilp_factory(region, lengths, bundling_cuts)
                     ilp, spec_groups = build()
                     model = ilp.generate()
-            if features.backend == "portfolio":
-                # The ordered lanes re-encode from the formulation that
-                # owns *this* model (rebuilds swap both together).
-                solve_extra["scheduling_ilp"] = ilp
             # A seeded re-solve is a warm-start hit; anything solved cold
             # (first solve, or after a rebuild dropped the incumbent) a miss.
             trace.count(
@@ -1006,12 +975,7 @@ class IlpScheduler:
         features = self.features
 
         def build():
-            ilp = SchedulingIlp(
-                region,
-                dict(lengths),
-                self.machine,
-                tight_lengths=features.tight_lengths,
-            )
+            ilp = SchedulingIlp(region, dict(lengths), self.machine)
             ilp.bundling_cuts = list(bundling_cuts)
             spec_groups = []
             if features.speculation or features.data_speculation:
@@ -1041,21 +1005,9 @@ class IlpScheduler:
 
 
 def _solve_extra(features):
-    """Backend-specific ``solve_model`` kwargs for one feature set.
-
-    For the portfolio the caller must still inject ``scheduling_ilp``
-    per solve (the ordered lanes re-encode from the live formulation,
-    which cycle-range growths rebuild mid-pipeline).
-    """
+    """Backend-specific ``solve_model`` kwargs for one feature set."""
     if features.backend == "highs":
         return {"heuristic_effort": features.heuristic_effort}
-    if features.backend == "portfolio":
-        return {
-            "backends": features.portfolio_backends,
-            "seed": features.portfolio_seed,
-            "threads": features.portfolio_threads,
-            "heuristic_effort": features.heuristic_effort,
-        }
     return {}
 
 

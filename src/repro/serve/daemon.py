@@ -44,8 +44,10 @@ import os
 import sys
 import time
 
+from repro.ilp import KNOWN_BACKENDS
 from repro.ir.parser import parse_functions
 from repro.obs import core as obs
+from repro.obs.telemetry import percentiles
 from repro.sched.scheduler import ScheduleFeatures
 from repro.serve.service import ScheduleService
 from repro.serve.store import ScheduleStore
@@ -88,26 +90,13 @@ def _serve_stats(outcomes):
         coalesced += outcome.coalesced
         tiers[outcome.result.quality] = tiers.get(outcome.result.quality, 0) + 1
     total = len(outcomes)
-
-    def _lat(values):
-        if not values:
-            return None
-        ordered = sorted(values)
-        return {
-            "count": len(values),
-            "mean_seconds": sum(values) / len(values),
-            "p50_seconds": ordered[len(ordered) // 2],
-            "p99_seconds": ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))],
-            "max_seconds": ordered[-1],
-        }
-
     return {
         "requests": total,
         "hits": kinds,
         "hit_rate": (kinds["exact"] + kinds["family"]) / total if total else 0.0,
         "coalesced": coalesced,
         "quality_tiers": tiers,
-        "latency": {k: _lat(v) for k, v in latency.items() if v},
+        "latency": {k: percentiles(v) for k, v in latency.items() if v},
     }
 
 
@@ -120,7 +109,7 @@ def serve_main(argv=None):
     parser.add_argument("--rounds", type=int, default=1)
     parser.add_argument("--time-limit", type=float, default=120.0)
     parser.add_argument(
-        "--backend", choices=["highs", "bb", "portfolio"], default="highs"
+        "--backend", choices=KNOWN_BACKENDS, default="highs"
     )
     parser.add_argument("--no-speculation", action="store_true")
     parser.add_argument("--no-cyclic", action="store_true")
@@ -303,7 +292,7 @@ def cache_main(argv=None):
     p_warm.add_argument("inputs", nargs="+")
     p_warm.add_argument("--time-limit", type=float, default=120.0)
     p_warm.add_argument(
-        "--backend", choices=["highs", "bb", "portfolio"], default="highs"
+        "--backend", choices=KNOWN_BACKENDS, default="highs"
     )
     p_warm.add_argument("--no-speculation", action="store_true")
     p_warm.add_argument("--no-cyclic", action="store_true")

@@ -44,7 +44,9 @@ from repro.ir.registers import Register
 # becomes unreachable (and is eventually LRU-evicted).
 # serve-3: software-pipelining subsystem (repro.sched.modulo) — new
 # ScheduleFeatures knobs and the kind="loop" entries.
-CODE_VERSION = "serve-3"
+# serve-4: the portfolio race and compact length linking were removed,
+# dropping four ScheduleFeatures fields from every key.
+CODE_VERSION = "serve-4"
 
 # ScheduleFeatures fields that steer the *solver*, not the model: two
 # requests differing only here want the same schedule, so they share a
@@ -54,9 +56,6 @@ SOLVER_ONLY_FEATURES = frozenset({
     "time_limit",
     "heuristic_effort",
     "backend",
-    "portfolio_backends",
-    "portfolio_seed",
-    "portfolio_threads",
     "verify",
     "incremental_cuts",
     "max_resize_attempts",

@@ -42,8 +42,8 @@ needs:
   a telemetry journal is attached, exactly one
   :mod:`repro.obs.journal` record is appended per request exit path
   (``ok``/``busy``/``error``/``drained``/``fault``/``probe``), and a
-  drain-time ``portfolio_summary`` record persists the per-family
-  solver-race win tallies.
+  drain-time ``portfolio_summary`` record persists the fleet counters
+  (the kind keeps its historical name so older journals still read).
 
 Chaos hooks: fault sites ``serve.accept`` (the accepted connection
 fails before queueing), ``serve.queue`` (forced shed), ``serve.drain``
@@ -153,7 +153,6 @@ class FleetDaemon:
             journal = journal_mod.TelemetryJournal(journal)
         self.journal = journal
         self.replica = f"{os.path.basename(self.path)}:{os.getpid()}"
-        self._portfolio_families = {}  # family -> {backend spec: race wins}
 
         self._queue = queue.Queue(maxsize=self.queue_capacity)
         self._stop = threading.Event()  # stop accepting
@@ -425,56 +424,12 @@ class FleetDaemon:
             )
         )
 
-    def _portfolio_note(self, outcomes):
-        """Race digest for one request + fold per-family win tallies.
-
-        Returns ``{races, winner, seed_transfers}`` when at least one
-        portfolio race ran for the request, else ``None``; as a side
-        effect the winning backend's tally for the routine's cache
-        family is bumped (persisted at drain as the
-        ``portfolio_summary`` journal record).
-        """
-        races = 0
-        transfers = 0
-        winner = None
-        with self._lock:
-            for outcome in outcomes:
-                trace = getattr(outcome.result, "trace", None)
-                for solve in getattr(trace, "solves", None) or ():
-                    detail = (
-                        solve.get("portfolio")
-                        if isinstance(solve, dict)
-                        else None
-                    )
-                    if not detail:
-                        continue
-                    races += 1
-                    transfers += int(detail.get("seed_transfers") or 0)
-                    spec = detail.get("winner")
-                    if spec:
-                        winner = spec
-                        tallies = self._portfolio_families.setdefault(
-                            outcome.family, {}
-                        )
-                        tallies[spec] = tallies.get(spec, 0) + 1
-        if not races:
-            return None
-        return {
-            "races": races,
-            "winner": winner,
-            "seed_transfers": transfers,
-        }
-
     def _flush_journal(self):
-        """Drain-time persistence: per-family race tallies + counters."""
+        """Drain-time persistence: the fleet counters."""
         journal = self.journal
         if journal is None:
             return
         with self._lock:
-            families = {
-                family: dict(tallies)
-                for family, tallies in self._portfolio_families.items()
-            }
             counters = dict(self.counters)
         journal.append(
             journal_mod.seal_record(
@@ -482,7 +437,6 @@ class FleetDaemon:
                     "kind": "portfolio_summary",
                     "ts": time.time(),
                     "replica": self.replica,
-                    "families": families,
                     "counters": counters,
                     "drain_reason": self._drain_reason,
                     "write_errors": journal.write_errors,
@@ -701,7 +655,6 @@ class FleetDaemon:
                 "total": time.monotonic() - accepted_at,
             },
             cache_kinds=cache_kinds,
-            portfolio=self._portfolio_note(outcomes),
         )
 
     def _health_header(self, request_id):

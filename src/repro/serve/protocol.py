@@ -83,9 +83,6 @@ WIRE_FEATURES = (
     "partial_ready",
     "heuristic_effort",
     "max_hops",
-    "portfolio_backends",
-    "portfolio_seed",
-    "portfolio_threads",
 )
 
 REQUEST_OPS = ("solve", "health", "stats")
@@ -284,8 +281,8 @@ def features_from_wire(base, overrides, deadline_budget=None):
     try:
         features = replace(base, **overrides) if overrides else base
     except ValueError as exc:
-        # ScheduleFeatures validates eagerly (unknown backend / bad
-        # roster); a bad client knob is a protocol error, not a crash.
+        # ScheduleFeatures validates eagerly (unknown backend); a bad
+        # client knob is a protocol error, not a crash.
         raise ProtocolError(f"invalid feature override: {exc}") from exc
     return apply_deadline(features, deadline_budget)
 

@@ -87,13 +87,6 @@ SECTION_REL = {
     # throughput leaves are named *_rps precisely so they stay info
     # context (overload-style noise); the ratio carries the gate.
     "journal_overhead": 0.05,
-    # Portfolio racing: wall-clock depends on how many lanes run
-    # concurrently (lane_threads is recorded in the section, and the
-    # committed baseline came from a single-core host), so the raw
-    # seconds get the serving-style headroom. The hard gates are the
-    # quality_no_worse / schedules_match_winner booleans and the
-    # portfolio_vs_best_ratio leaf with its tight absolute floor.
-    "portfolio": 3.0,
     # Software pipelining: per-loop ILP solves are sub-second and
     # search-order dependent, so wall-clock leaves get wide headroom.
     # The hard gates are the mii_achieved_80pct / oracle_all_passed /

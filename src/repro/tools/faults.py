@@ -55,15 +55,6 @@ Sites (``SITES``):
     :meth:`~repro.obs.journal.TelemetryJournal.append`, which must
     swallow it — journal failures are counted, never surfaced into the
     serving request path, and never corrupt already-written shards.
-``portfolio.cancel``
-    One racing lane of :class:`repro.ilp.portfolio.PortfolioSolver`
-    (fired per lane, inside the race): ``crash``/``error`` kill the lane
-    before it searches and poison its bus state; ``timeout`` cancels it
-    at launch; ``corrupt``/``infeasible`` poison the lane — its bounds
-    are discarded, future publishes barred, and its own result dropped;
-    ``incumbent`` demotes the lane's optimality proof so it cannot win
-    the race by proof. Every kind degrades the race to the surviving
-    lanes; the portfolio itself never raises.
 ``swp.materialize``
     Kernel materialization in the software-pipelining ladder
     (:mod:`repro.sched.modulo.ladder`): any firing discards the modulo
@@ -138,7 +129,6 @@ SITES = (
     "serve.accept",
     "serve.queue",
     "serve.drain",
-    "portfolio.cancel",
     "obs.journal",
     "swp.materialize",
 )

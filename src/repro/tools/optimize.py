@@ -9,9 +9,7 @@ Usage::
 
     tia-opt INPUT.tia [-o OUTPUT.tia] [--no-speculation] [--no-cyclic]
             [--no-partial-ready] [--time-limit S]
-            [--backend highs|bb|portfolio]
-            [--portfolio-backends R1,R2,...] [--portfolio-seed N]
-            [--portfolio-threads N]
+            [--backend highs|bb]
             [--cache DIR] [--schedule] [--bundles]
             [--trace TRACE.json] [--metrics METRICS.json|.prom]
             [--events EVENTS.jsonl] [--html DASHBOARD.html]
@@ -31,6 +29,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from repro.ilp import KNOWN_BACKENDS
 from repro.ir.parser import parse_functions
 from repro.ir.printer import format_function, format_schedule
 from repro.sched.scheduler import ScheduleFeatures, optimize_function
@@ -175,28 +174,7 @@ def main(argv=None):
     )
     parser.add_argument("--time-limit", type=float, default=120.0)
     parser.add_argument(
-        "--backend", choices=["highs", "bb", "portfolio"], default="highs"
-    )
-    parser.add_argument(
-        "--portfolio-backends",
-        metavar="R1,R2,...",
-        default=None,
-        help="portfolio runner roster (e.g. highs,bb,ordered:highs); "
-        "only meaningful with --backend portfolio",
-    )
-    parser.add_argument(
-        "--portfolio-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="deterministic tie-break seed for same-tick photo finishes",
-    )
-    parser.add_argument(
-        "--portfolio-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on concurrently racing portfolio lanes (default: all)",
+        "--backend", choices=KNOWN_BACKENDS, default="highs"
     )
     parser.add_argument(
         "--cache",
@@ -254,13 +232,6 @@ def main(argv=None):
         with open(args.input) as handle:
             text = handle.read()
 
-    portfolio_kwargs = {}
-    if args.portfolio_backends is not None:
-        portfolio_kwargs["portfolio_backends"] = tuple(
-            entry.strip()
-            for entry in args.portfolio_backends.split(",")
-            if entry.strip()
-        )
     features = ScheduleFeatures(
         speculation=not args.no_speculation,
         data_speculation=not args.no_data_speculation,
@@ -271,9 +242,6 @@ def main(argv=None):
         max_hops=args.max_hops,
         time_limit=args.time_limit,
         backend=args.backend,
-        portfolio_seed=args.portfolio_seed,
-        portfolio_threads=args.portfolio_threads,
-        **portfolio_kwargs,
     )
     if args.decompose_min is not None:
         features = replace(

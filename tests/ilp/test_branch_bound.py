@@ -71,9 +71,19 @@ def test_pure_lp_passthrough():
 
 
 def test_solve_model_rejects_unknown_backend():
+    """Unknown and removed backends fail with the menu, never a fallback."""
     model, _ = _knapsack()
-    with pytest.raises(ValueError):
-        solve_model(model, backend="cplex")
+    for backend in ("cplex", "portfolio"):
+        with pytest.raises(ValueError, match=r"expected one of highs, bb\)"):
+            solve_model(model, backend=backend)
+
+
+def test_bb_and_highs_reach_equal_optimum():
+    """Both backends prove the same optimum on the same model."""
+    solo = {b: solve_model(_knapsack()[0], backend=b) for b in ("highs", "bb")}
+    assert all(s.status is SolveStatus.OPTIMAL for s in solo.values())
+    assert solo["bb"].objective == pytest.approx(solo["highs"].objective)
+    assert solo["bb"].objective == pytest.approx(-9.0)
 
 
 def test_stats_populated():

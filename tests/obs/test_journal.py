@@ -54,7 +54,6 @@ class TestRoundtrip:
             features={"backend": "highs"},
             timings={"queue_wait": 0.01, "solve": 0.5, "total": 0.6},
             cache_kinds={"miss": 1},
-            portfolio={"winner": "highs", "seed_transfers": 2},
             replica="sock:1",
         )
         assert validate_record(record) == []

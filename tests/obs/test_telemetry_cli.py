@@ -1,7 +1,7 @@
 """``tia-telemetry``: rollup correctness, SLO gating, CLI plumbing.
 
 The rollup is tested against hand-built journals (every outcome kind,
-multiple replicas, portfolio summaries), the SLO engine against both
+multiple replicas, drain summaries), the SLO engine against both
 rule syntaxes and the gate exit codes, and the counter reconstruction
 against the documented exit-path mapping.
 """
@@ -33,7 +33,6 @@ def _mixed_records():
             ],
             timings={"queue_wait": 0.01, "solve": 0.2, "total": 0.25},
             cache_kinds={"miss": 1},
-            portfolio={"races": 1, "winner": "highs", "seed_transfers": 2},
             replica="a:1",
         ),
         request_record(
@@ -63,7 +62,6 @@ def _mixed_records():
                 "kind": "portfolio_summary",
                 "ts": 99.0,
                 "replica": "a:1",
-                "families": {"famA": {"highs#0": 1}},
                 "counters": {
                     "completed": 2, "shed": 1, "drained": 1,
                     "probes": 1, "accept_errors": 1, "rejected": 4,
@@ -101,8 +99,6 @@ class TestRollup:
         assert rollup["distinct_traces"] == 3
         fam = rollup["families"]["famA"]
         assert fam["requests"] == 2
-        assert fam["portfolio_wins"] == {"highs": 1}
-        assert fam["seed_transfers"] == 2
         assert fam["latency"]["count"] == 2
         assert rollup["latency"]["total"]["count"] == 2
 
@@ -111,6 +107,38 @@ class TestRollup:
         assert rollup["records"] == 0
         assert rollup["counters"]["completed"] == 0
         assert rollup["cache_hit_rate"] is None
+
+
+class TestOldFormatJournal:
+    """Journals written while the solver race existed carry a request
+    ``portfolio`` member and drain-record ``families`` tallies; both must
+    still verify, roll up and report."""
+
+    @staticmethod
+    def _old_records():
+        records = _mixed_records()
+        records[0]["portfolio"] = {
+            "races": 1, "winner": "highs", "seed_transfers": 2,
+        }
+        records[-1]["families"] = {"famA": {"highs#0": 1}}
+        return [seal_record(record) for record in records]
+
+    def test_verify_accepts_old_members(self, tmp_path, capsys):
+        _write_journal(tmp_path / "j", self._old_records())
+        assert telemetry.main(["verify", str(tmp_path / "j")]) == 0
+        out = capsys.readouterr().out
+        assert "0 bad line(s), 0 shard(s) quarantined" in out
+
+    def test_report_still_matches(self, tmp_path, capsys):
+        _write_journal(tmp_path / "j", self._old_records())
+        assert telemetry.main(["report", str(tmp_path / "j")]) == 0
+        assert "[matches]" in capsys.readouterr().out
+        rollup = telemetry.journal_rollup(tmp_path / "j")
+        assert rollup["requests"] == 6
+        assert set(rollup["families"]["famA"]) == {
+            "requests", "cache_kinds", "quality_tiers", "latency",
+        }
+        assert rollup["drain_summaries"][0]["counters"]["completed"] == 2
 
 
 class TestSloRules:

@@ -165,12 +165,12 @@ def test_store_value_sequences_preserved():
 # Minimized from ``RoutineSpec(name="diff", seed=905, instructions=22,
 # blocks=6, loops=1, input_spec_loads=1)``: the loop header's heap-class
 # store is loop-invariant and under M-unit pressure, so the scheduler
-# profitably hoists it out of the loop — past the latch's *same-address*
+# used to hoist it out of the loop — past the latch's *same-address*
 # store, which carries a different alias class and therefore no output
-# dependence. The motion is model-legal (the verifier's last-copy rule
-# cannot express cross-iteration store counts) but concretely collapses
-# thirteen alternating stores into seven, changing both the per-address
-# value history and the final memory image.
+# dependence. That collapsed thirteen alternating stores into seven,
+# changing both the per-address value history and the final memory
+# image. A store now stays in every loop holding another store that
+# may alias it (alias classes do not prove disjointness there).
 SEED905_MINIMIZED = """
 .proc seed905min
 .livein r32, r38
@@ -196,15 +196,6 @@ SEED905_MINIMIZED = """
 """
 
 
-@pytest.mark.xfail(
-    strict=False,
-    reason="known store-value divergence (generator seed=905, minimized): "
-    "a loop-invariant store hoists out of the loop past a same-address "
-    "store in a different alias class — class-based disambiguation sees "
-    "no conflict, so the motion is model-legal but changes the concrete "
-    "store history. Pinned until alias classes become sound for stores "
-    "or verify_schedule learns cross-iteration store counting.",
-)
 def test_seed905_store_values_pinned():
     _differential(parse_function(SEED905_MINIMIZED), compare_stores=True)
 

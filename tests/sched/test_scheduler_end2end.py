@@ -83,6 +83,26 @@ def test_feature_baseline_config():
     assert not features.partial_ready
 
 
+def test_unknown_backend_rejected_with_menu():
+    for bad in ("cplex", "portfolio"):
+        with pytest.raises(ValueError) as err:
+            ScheduleFeatures(backend=bad)
+        # The message names every accepted backend, not just the bad one.
+        assert "expected one of highs, bb)" in str(err.value)
+
+
+def test_removed_feature_fields_are_gone():
+    """The race's knobs and compact linking are not silently accepted."""
+    for name, value in (
+        ("portfolio_backends", ("highs",)),
+        ("portfolio_seed", 0),
+        ("portfolio_threads", 1),
+        ("tight_lengths", False),
+    ):
+        with pytest.raises(TypeError):
+            ScheduleFeatures(**{name: value})
+
+
 def test_scheduler_object_reusable(diamond_result):
     from tests.conftest import STRAIGHT_TEXT
 

@@ -305,14 +305,14 @@ GOLDEN = [
     (
         generate_routine,
         RoutineSpec(name="g0", seed=0, instructions=12, blocks=3),
-        "f66707424fec9a61d96883a54225b8210ea944600677edbcdd7908538192b493",
-        "371e5d96735f044d009116953253155ac6207dcd92e308b15de194201bb8936a",
+        "586452a66241f31347648de37bef788bd7ee3dafda3ccdd4de6043e2b4ab5ea0",
+        "c31520c8f044a7b81bfead5684e8dd443c58fea50ee505da45b6de625ce3babe",
     ),
     (
         generate_routine,
         RoutineSpec(name="g1", seed=1),
-        "7111f5ec4a806a57b559940b6cc52039a016912fe4c4944a4c51d170cccaa885",
-        "203835867b2bd82db96acadbe304e13db77af0577a8c0b1ed96ee00298132c7f",
+        "1b589e9bb06e877b3044aa5a4cd0e170ee9f9aa019eb8d44ab1c10f7ee6ec3c7",
+        "d6e47723a4156a76561f3e647d162d715eb0c59b495dbb53db284214eea63462",
     ),
     (
         generate_routine,
@@ -320,20 +320,20 @@ GOLDEN = [
             name="g2", seed=2, instructions=40, blocks=6, loops=2,
             input_spec_loads=2,
         ),
-        "058b59629086d10de0a32c07f445d00da9c765e482b4b523487cd06457f797bc",
-        "36a15eee6a3bea9eabaf3d717085c07dc8545ca4f329723c52b2e1659eafefa8",
+        "415c80d6c530fd6c3b8382275d77c42ef4b44ad1c4b700d52558a3652353e76b",
+        "a57d44f9ec406d48d2d74e1f63c2f3d36fe70bb77cb422f223dfee074403bd89",
     ),
     (
         generate_routine,
         RoutineSpec(name="g3", seed=3, instructions=150, blocks=16),
-        "ebe1ce090ae22bb86c1c5be9b5c4474847e8fd2d48ea3a370e0431bee763653e",
-        "6a6c398aecd7506070df707a68b738664601c717cc600cba64e79d728f01e11f",
+        "e3d05abb6c57a4aa5da1465f16f034c15747fb1127dfa9dcff82f7bde7069ed9",
+        "37ae4cd3fc28093d8faddb3dbf9ad158cbdb6bd5dc093be8677460a26c1f8fc6",
     ),
     (
         generate_loop_dominated,
         LoopDominatedSpec(name="g4", seed=4),
-        "d7837efa546867900531ac6d293027c0caa7f23ddf800d0b608771a53f3aed81",
-        "42ace0ec46f3d0a770ad1553f62bbb7808dcdfb6ba57e83bad7a67e5218efeea",
+        "0b15ed2ebdfadacbacf10fc2cd41f5c97bf55b9eaec18c45f34903ce530baa7f",
+        "4a643d48b36180ceeae4c2aafc93f70d2eeaa35ff14d3b37ef3b0443d0851cd9",
     ),
     (
         generate_multi_region,
@@ -341,8 +341,8 @@ GOLDEN = [
             name="g5", seed=5, segments=3, segment_instructions=14,
             segment_blocks=5,
         ),
-        "e8c35c56128b00d29b9bed29c14e9db29ea94eced83c2d6dedc644db0bb2f4e4",
-        "f945f43baa87799c32609befb44b6114e3bfec489da1c720cd9b4ef188de96e3",
+        "4b49bc122e9a96e750c8f645503d301d6bdb5b66cfb984338c463c34a9cf57c3",
+        "6088acd3ae4cca34539638891e8f206efaf8ecba48679c048c72a18d189d9c31",
     ),
 ]
 

@@ -167,21 +167,27 @@ def test_large_frame_in_chunks():
 
 
 def test_features_from_wire_validates_backend():
-    """A bad backend or roster override surfaces as a typed protocol
+    """A bad or removed backend override surfaces as a typed protocol
     error (the daemon replies with it), not a server-side ValueError."""
     from repro.sched.scheduler import ScheduleFeatures
 
     base = ScheduleFeatures()
-    raced = protocol.features_from_wire(
-        base,
-        {"backend": "portfolio", "portfolio_backends": ["highs", "bb"]},
-    )
-    assert raced.backend == "portfolio"
-    assert raced.portfolio_backends == ("highs", "bb")
-    with pytest.raises(protocol.ProtocolError, match="cplex"):
-        protocol.features_from_wire(base, {"backend": "cplex"})
-    with pytest.raises(protocol.ProtocolError, match="runner"):
-        protocol.features_from_wire(
-            base,
-            {"backend": "portfolio", "portfolio_backends": ["warp-drive"]},
-        )
+    assert protocol.features_from_wire(base, {"backend": "bb"}).backend == "bb"
+    for bad in ("cplex", "portfolio"):
+        with pytest.raises(protocol.ProtocolError, match=bad):
+            protocol.features_from_wire(base, {"backend": bad})
+
+
+def test_removed_portfolio_overrides_rejected():
+    """The race's wire knobs are unknown overrides now, on both sides."""
+    from repro.sched.scheduler import ScheduleFeatures
+
+    for name, value in (
+        ("portfolio_backends", ["highs", "bb"]),
+        ("portfolio_seed", 3),
+        ("portfolio_threads", 1),
+    ):
+        with pytest.raises(protocol.ProtocolError, match=name):
+            protocol.features_from_wire(ScheduleFeatures(), {name: value})
+        with pytest.raises(protocol.ProtocolError, match=name):
+            protocol.solve_request("x", features={name: value})

@@ -176,6 +176,15 @@ def test_validate_env_raises_eagerly(monkeypatch):
         faults.validate_env()
 
 
+def test_removed_portfolio_site_fails_fast(monkeypatch):
+    """The solver race and its ``portfolio.cancel`` site are gone; an old
+    chaos spec naming it is a configuration error, not a silent no-op."""
+    assert "portfolio.cancel" not in faults.SITES
+    monkeypatch.setenv(faults.ENV_VAR, "portfolio.cancel=error")
+    with pytest.raises(faults.FaultConfigError, match="portfolio.cancel"):
+        faults.validate_env()
+
+
 def test_validate_env_accepts_good_and_empty_specs(monkeypatch):
     monkeypatch.delenv(faults.ENV_VAR, raising=False)
     assert faults.validate_env() is None
