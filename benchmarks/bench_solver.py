@@ -66,7 +66,7 @@ if str(REPO / "src") not in sys.path:
 
 import numpy as np  # noqa: E402
 
-from repro.ilp import Model, solve_model  # noqa: E402
+from repro.ilp import Model  # noqa: E402
 from repro.ilp.branch_bound import BranchBoundSolver  # noqa: E402
 from repro.ilp.presolve import presolve_arrays  # noqa: E402
 from repro.ir.parser import parse_function  # noqa: E402

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ParseError
-from repro.ir.block import BasicBlock
 
 
 @dataclass(frozen=True)

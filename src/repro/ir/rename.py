@@ -19,7 +19,7 @@ the real machine constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.instruction import MemRef
 from repro.ir.liveness import LivenessInfo, compute_liveness

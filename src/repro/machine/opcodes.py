@@ -18,7 +18,7 @@ Itanium 2 (McKinley) micro-architecture documentation the paper cites
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import MachineError
 from repro.machine.units import UnitKind

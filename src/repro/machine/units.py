@@ -20,7 +20,7 @@ Sec. 1 and 4.2].
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class UnitKind(enum.Enum):

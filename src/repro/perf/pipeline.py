@@ -26,7 +26,7 @@ half of the total execution time", Sec. 6.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.machine.itanium2 import ITANIUM2
 

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
@@ -418,7 +417,7 @@ def _solve_partitions(scheduler, parts, deadline, trace, messages):
     is preserved for stitching — a process pool would pickle the
     partitions into disconnected copies.
     """
-    from repro.tools.parallel import partition_workers
+    from repro.tools.parallel import fan_out, merge_trace, partition_workers
 
     def solve_one(part):
         sub_trace = obs.Trace()
@@ -434,26 +433,10 @@ def _solve_partitions(scheduler, parts, deadline, trace, messages):
         )
         return pieces, sub_trace, time.perf_counter() - started
 
-    workers = partition_workers(len(parts))
-    runs = []
-    if workers <= 1:
-        for part in parts:
-            try:
-                runs.append(solve_one(part))
-            except faults.FaultConfigError:
-                raise
-            except Exception as exc:
-                runs.append(exc)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(solve_one, part) for part in parts]
-            for future in futures:
-                try:
-                    runs.append(future.result())
-                except faults.FaultConfigError:
-                    raise
-                except Exception as exc:
-                    runs.append(exc)
+    runs = fan_out(
+        [lambda part=part: solve_one(part) for part in parts],
+        partition_workers(len(parts)),
+    )
 
     solved = []
     for part, run in zip(parts, runs):
@@ -464,22 +447,13 @@ def _solve_partitions(scheduler, parts, deadline, trace, messages):
             )
             return None
         pieces, sub_trace, elapsed = run
-        _merge_trace(trace, sub_trace)
+        merge_trace(trace, sub_trace)
         messages.extend(part.messages)
         if obs.ENABLED:
             obs.counter("decompose_partitions_total")
             obs.histogram("partition_solve_seconds", elapsed)
         solved.append(pieces)
     return solved
-
-
-def _merge_trace(trace, sub_trace):
-    """Fold a partition's trace into the routine trace (plain data)."""
-    trace.records.extend(sub_trace.records)
-    for name, value in sub_trace.counters.items():
-        trace.count(name, value)
-    trace.solves.extend(sub_trace.solves)
-    trace.cuts.extend(sub_trace.cuts)
 
 
 # -- stitching ----------------------------------------------------------------

@@ -29,7 +29,6 @@ Restrictions (all conservative):
 from __future__ import annotations
 
 from repro.machine.itanium2 import ITANIUM2
-from repro.sched.list_scheduler import ListScheduler
 from repro.sched.schedule import Schedule
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SchedulingError
 from repro.ir.alias import must_order
 from repro.ir.ddg import DepKind
 

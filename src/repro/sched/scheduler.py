@@ -38,8 +38,7 @@ re-solve and phase 2, so each solve gets only the *remaining* budget.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import BundlingError, SchedulingError
 from repro.ilp import KNOWN_BACKENDS, SolveStatus, solve_model
@@ -150,13 +149,13 @@ class ScheduleFeatures:
     # bit-identically to decompose=False.
     decompose: bool = True
     decompose_min_instructions: int = 100
-    # Software pipelining (repro.sched.modulo): after the acyclic global
-    # schedule is produced, modulo-schedule every counted single-block
-    # inner loop through the II ladder (modulo ILP from MII upward, then
-    # the time-indexed formulation, then the unpipelined loop).  Off by
-    # default: the pipelined routine is attached as per-loop
-    # ``OptimizeResult.swp_outcomes`` records, never spliced into the
-    # acyclic ``output_schedule``.
+    # Software pipelining (repro.sched.modulo): beside the acyclic global
+    # schedule (on a second thread when one is free), modulo-schedule
+    # every counted single-block inner loop through the II ladder (modulo
+    # ILP from MII upward, then the time-indexed formulation, then the
+    # unpipelined loop).  Off by default: the pipelined routine is
+    # attached as per-loop ``OptimizeResult.swp_outcomes`` records, never
+    # spliced into the acyclic ``output_schedule``.
     swp: bool = False
     swp_max_ii: int = 32  # II ladder ceiling
     swp_max_stages: int = 4  # stage-count / register-pressure bound
@@ -218,7 +217,7 @@ class OptimizeResult:
     # consumers that re-verify (the serving cache) must replay these.
     verify_edges: object = None
     verify_scopes: object = None
-    # Software-pipelining post-step (features.swp): one
+    # Software-pipelining step (features.swp): one
     # repro.sched.modulo.ladder.LoopPipelineOutcome per counted loop.
     # The acyclic output_schedule is never altered by this step.
     swp_outcomes: list = field(default_factory=list)
@@ -359,8 +358,6 @@ class IlpScheduler:
         trace = obs.Trace()
         with trace.span("optimize", routine=fn.name) as root_span:
             result = self._optimize_impl(fn, deadline, trace, length_hint)
-            if self.features.swp:
-                self._run_swp(result, deadline, trace)
             # Paper-metric analytics ride the trace (and, when recording,
             # the optimize span) so Table 1/2-shaped numbers survive the
             # pool fan-out and land in the Chrome trace for dashboards.
@@ -395,6 +392,44 @@ class IlpScheduler:
                 freq_cap=features.freq_cap,
                 allow_predication=features.predication,
             )
+
+        def schedule():
+            return self._schedule(
+                work, undo_stats, liveness, ddg, region, deadline, trace,
+                length_hint,
+            )
+
+        if not features.swp:
+            return schedule()
+        # Nothing changes ``work`` or its analyses from here on, so the
+        # software-pipelining ladder runs beside the acyclic pipeline on
+        # its own thread, sharing the routine's deadline. The acyclic
+        # pipeline stays on this thread; with width 1 (a routine-pool
+        # worker, a 1-CPU host) the two run in that order, here.
+        from repro.tools.parallel import fan_out, merge_trace, partition_workers
+
+        swp_trace = obs.Trace()
+
+        def pipeline_loops():
+            return self._run_swp(work, cfg, ddg, deadline, swp_trace)
+
+        result, (outcomes, swp_messages) = fan_out(
+            [schedule, pipeline_loops], partition_workers(2)
+        )
+        if isinstance(result, Exception):
+            raise result
+        merge_trace(trace, swp_trace)
+        result.swp_outcomes = outcomes
+        result.messages.extend(swp_messages)
+        return result
+
+    def _schedule(
+        self, work, undo_stats, liveness, ddg, region, deadline, trace,
+        length_hint,
+    ):
+        """Input schedule, ILP pipeline and verification of the analyzed
+        ``work``; the acyclic part of :meth:`optimize`."""
+        features = self.features
         with trace.span("input_schedule", baseline=features.baseline):
             if features.baseline == "greedy":
                 from repro.sched.greedy_global import GreedyGlobalScheduler
@@ -516,26 +551,27 @@ class IlpScheduler:
             verify_scopes=verify_scopes,
         )
 
-    def _run_swp(self, result, deadline, trace):
-        """Software-pipelining post-step (``features.swp``).
+    def _run_swp(self, fn, cfg, ddg, deadline, trace):
+        """Software-pipelining step (``features.swp``); returns
+        ``(outcomes, messages)``.
 
         Runs the II ladder (:func:`repro.sched.modulo.ladder.pipeline_loop`)
-        over every natural loop of the *scheduled* routine and attaches the
-        per-loop outcomes.  The acyclic schedule, its verification, and the
-        quality tier are untouched — a loop that cannot be pipelined simply
-        reports itself unpipelined.  Like the main pipeline, this step never
-        raises (only a malformed ``REPRO_FAULTS`` spec propagates).
+        over every natural loop of the analyzed routine ``fn`` (with the
+        ``cfg`` and ``ddg`` built for it), one outcome per loop. The
+        acyclic schedule, its verification, and the quality tier are
+        untouched — a loop that cannot be pipelined simply reports itself
+        unpipelined. Like the main pipeline, this step never raises (only
+        a malformed ``REPRO_FAULTS`` spec propagates): an error keeps the
+        outcomes so far and becomes a message.
         """
         from repro.sched.modulo.ladder import pipeline_loop
 
         features = self.features
+        outcomes = []
         try:
-            fn = result.fn
-            cfg = CfgInfo(fn)
-            ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
             solve_extra = _solve_extra(features)
             for loop in cfg.loops:
-                result.swp_outcomes.append(pipeline_loop(
+                outcomes.append(pipeline_loop(
                     fn, cfg, ddg, loop,
                     machine=self.machine,
                     backend=features.backend,
@@ -550,10 +586,11 @@ class IlpScheduler:
                 ))
         except faults.FaultConfigError:
             raise  # driver misconfiguration, not a routine failure
-        except Exception as exc:  # the post-step never fails a routine
-            result.messages.append(
+        except Exception as exc:  # the ladder never fails a routine
+            return outcomes, [
                 f"software pipelining failed: {type(exc).__name__}: {exc}"
-            )
+            ]
+        return outcomes, []
 
     # Pipeline sites whose share of the wall-clock budget is worth a
     # histogram: one observation per routine per site that actually ran.

@@ -31,16 +31,14 @@ exactly the loops the paper's routine selection avoided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SchedulingError
 from repro.ilp import Model, lin_sum, solve_model
-from repro.ir.ddg import DepKind
 from repro.machine.itanium2 import ITANIUM2
 from repro.machine.units import UnitKind
 from repro.sched.modulo.bounds import (
     critical_path as _critical_path,
-    has_positive_cycle as _has_positive_cycle,
     recurrence_mii,
     resource_mii as _resource_mii,
 )

@@ -17,7 +17,7 @@ without touching code.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.perf.pipeline import PipelineSimulator
 from repro.perf.speedup import program_speedup

@@ -111,6 +111,7 @@ run's metrics dump shows the realized fault mix, not just the request.
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -137,6 +138,9 @@ KINDS = ("timeout", "infeasible", "incumbent", "corrupt", "error", "crash")
 
 ENV_VAR = "REPRO_FAULTS"
 
+# Guards the firing budgets and the env-plan cache across threads.
+_fire_lock = threading.Lock()
+
 
 class FaultConfigError(ValueError):
     """A malformed fault spec (unknown site/kind, bad count).
@@ -157,10 +161,14 @@ class _Injection:
     def fire(self):
         if self.remaining is None:
             return True
-        if self.remaining <= 0:
-            return False
-        self.remaining -= 1
-        return True
+        # Threads share sites (partition solves, the ladder beside the
+        # acyclic pipeline): test and decrement as one step, so a
+        # ``:N`` injection fires exactly N times.
+        with _fire_lock:
+            if self.remaining <= 0:
+                return False
+            self.remaining -= 1
+            return True
 
 
 class FaultPlan:
@@ -291,9 +299,10 @@ def active_plan():
     spec = os.environ.get(ENV_VAR, "")
     if not spec.strip():
         return None
-    if spec not in _env_plans:
-        _env_plans[spec] = FaultPlan.parse(spec, source=ENV_VAR)
-    return _env_plans[spec]
+    with _fire_lock:  # one plan per spec, even when threads race here
+        if spec not in _env_plans:
+            _env_plans[spec] = FaultPlan.parse(spec, source=ENV_VAR)
+        return _env_plans[spec]
 
 
 def validate_env(environ=None):

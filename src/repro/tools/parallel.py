@@ -29,6 +29,7 @@ construction, so an injected crash always converges to a valid batch.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -81,14 +82,16 @@ class RoutineOutcome:
 
 
 def partition_workers(count):
-    """Thread-pool width for one routine's partition fan-out.
+    """Thread width for one routine's :func:`fan_out` of ``count`` tasks.
 
-    Partitions (:mod:`repro.sched.decompose`) and routines (this
-    module's process pool) share the machine, so inside a pool worker
-    the answer is always 1 — each sibling routine already owns a core.
-    ``REPRO_PARTITION_WORKERS`` overrides the width explicitly (clamped
-    to ``[1, count]``); otherwise the fan-out takes
-    ``min(count, cpu_count)``.
+    Two fan-outs use it: the partition solves of
+    :mod:`repro.sched.decompose`, and the software-pipelining ladder
+    beside the acyclic pipeline (:mod:`repro.sched.scheduler`, ``count``
+    2). Threads and routines (this module's process pool) share the
+    machine, so inside a pool worker the answer is always 1 — each
+    sibling routine already owns a core. ``REPRO_PARTITION_WORKERS``
+    overrides the width explicitly (clamped to ``[1, count]``);
+    otherwise the fan-out takes ``min(count, cpu_count)``.
     """
     if count <= 1:
         return 1
@@ -101,6 +104,76 @@ def partition_workers(count):
     if os.environ.get("REPRO_IN_POOL_WORKER"):
         return 1
     return max(1, min(count, os.cpu_count() or 1))
+
+
+def fan_out(tasks, width):
+    """Run zero-argument callables on up to ``width`` threads, the
+    calling thread included; returns one slot per task, in task order.
+
+    A slot holds what its task returned, or the exception it raised.
+    :class:`~repro.tools.faults.FaultConfigError` is the exception to
+    that: no further task starts, and it is re-raised once every running
+    task has finished, so no thread outlives the call. The solver
+    kernels release the GIL, so the threads overlap their solves.
+
+    The caller claims the first task before any helper thread starts:
+    task 0 always runs on the calling thread, keeping its thread-local
+    context (the obs span stack and trace scope; helpers inherit the
+    trace id). With ``width`` 1 no thread starts and the tasks run in
+    order, exactly like a plain loop.
+    """
+    tasks = list(tasks)
+    slots = [None] * len(tasks)
+    config_errors = []
+    lock = threading.Lock()
+    cursor = iter(range(len(tasks)))
+
+    def claim():
+        with lock:
+            return None if config_errors else next(cursor, None)
+
+    def drain(index):
+        while index is not None:
+            try:
+                slots[index] = tasks[index]()
+            except faults.FaultConfigError as exc:
+                config_errors.append(exc)
+            except Exception as exc:
+                slots[index] = exc
+            index = claim()
+
+    trace_id, _ = obs.current_trace()
+    parent_ref = obs.current_span_ref()
+
+    def helper():
+        with obs.trace_scope(trace_id, parent_ref):
+            drain(claim())
+
+    first = claim()
+    helpers = [
+        threading.Thread(target=helper, name=f"fan-out {n}", daemon=True)
+        for n in range(1, min(width, len(tasks)))
+    ]
+    for thread in helpers:
+        thread.start()
+    try:
+        drain(first)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if config_errors:
+        raise config_errors[0]
+    return slots
+
+
+def merge_trace(trace, sub_trace):
+    """Fold a fanned-out task's :class:`~repro.obs.core.Trace` into the
+    routine trace (plain data)."""
+    trace.records.extend(sub_trace.records)
+    for name, value in sub_trace.counters.items():
+        trace.count(name, value)
+    trace.solves.extend(sub_trace.solves)
+    trace.cuts.extend(sub_trace.cuts)
 
 
 def _run_one(args):

@@ -24,11 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.ir.block import BasicBlock
-from repro.ir.function import Function
-from repro.ir.instruction import Instruction, MemRef
 from repro.ir.parser import parse_function
-from repro.ir.printer import format_function
 from repro.ir.registers import reg
 
 

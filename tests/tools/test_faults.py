@@ -1,5 +1,9 @@
 """Fault-injection harness: spec parsing, activation, and mangling."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.ilp.expr import Var
@@ -89,6 +93,49 @@ def test_env_plan_counts_across_calls(monkeypatch):
         assert faults.fire("bundle") == "error"
     finally:
         faults.reset_env_cache()
+
+
+class _YieldingCount(int):
+    """A firing budget whose comparison yields the GIL, so thread
+    switches land between an injection's budget test and its decrement."""
+
+    def __le__(self, other):
+        time.sleep(0)
+        return int(self) <= other
+
+    def __sub__(self, other):
+        return _YieldingCount(int(self) - other)
+
+
+def test_bounded_injection_fires_exactly_n_times_across_threads():
+    # Threads share sites (partition solves, the ladder beside the acyclic
+    # pipeline). A tiny switch interval and a yielding budget force thread
+    # switches between the budget test and its decrement, where an
+    # unguarded counter overfires.
+    with faults.inject("solve.phase1=error:5") as plan:
+        (injection,) = plan._by_site["solve.phase1"]
+        injection.remaining = _YieldingCount(injection.remaining)
+        fired = []
+        start = threading.Barrier(8, timeout=60)
+
+        def hammer():
+            start.wait()
+            for _ in range(2000):
+                if faults.fire("solve.phase1") is not None:
+                    fired.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(fired) == 5
 
 
 def test_installed_plan_shadows_env(monkeypatch):
