@@ -27,6 +27,8 @@ objects, nothing that cannot ride a pickle or a JSON dump.
 
 from __future__ import annotations
 
+import functools
+
 GAP_EPS = 1e-12
 
 
@@ -260,6 +262,24 @@ _SUMMED = (
 )
 
 
+def _series_sum(section, prefix, field=None, start=0.0):
+    """Sum every series of metric ``prefix`` in a dump ``section``.
+
+    Matches the bare name and each labelled ``prefix{...}`` key;
+    ``field`` picks one number out of a histogram dict.  Non-numeric
+    values are skipped.  ``start`` is the empty sum, as in :func:`sum`.
+    """
+    total = start
+    for key, value in section.items():
+        if key != prefix and not key.startswith(prefix + "{"):
+            continue
+        if field is not None:
+            value = (value or {}).get(field, 0)
+        if isinstance(value, (int, float)):
+            total += value
+    return total
+
+
 def serve_summary(metrics):
     """Schedule-cache health digest from a ``--metrics`` dump.
 
@@ -280,16 +300,11 @@ def serve_summary(metrics):
     metrics = metrics or {}
     counters = metrics.get("counters", {}) or {}
     gauges = metrics.get("gauges", {}) or {}
-
-    def _sum(section, prefix):
-        return sum(
-            value for key, value in section.items()
-            if (key == prefix or key.startswith(prefix + "{"))
-            and isinstance(value, (int, float))
-        )
+    # An integer empty sum: this digest keeps ints on an int dump.
+    tally = functools.partial(_series_sum, start=0)
 
     hits = {
-        kind: _sum(counters, f'cache_hits_total{{kind="{kind}"}}')
+        kind: tally(counters, f'cache_hits_total{{kind="{kind}"}}')
         for kind in ("exact", "family", "miss")
     }
     requests = sum(hits.values())
@@ -298,18 +313,20 @@ def serve_summary(metrics):
         "requests": requests,
         "hits": hits,
         "hit_rate": served / requests if requests else 0.0,
-        "coalesced": _sum(counters, "coalesced_requests_total"),
+        "coalesced": tally(counters, "coalesced_requests_total"),
         "solves": hits["miss"],
-        "store_errors": _sum(counters, "cache_store_errors_total"),
-        "corrupt_entries": _sum(counters, "cache_corrupt_entries_total"),
-        "evictions": _sum(counters, "cache_evictions_total"),
-        "admission_timeouts": _sum(counters, "serve_admission_timeouts_total"),
-        "size_bytes": _sum(gauges, "cache_size_bytes"),
-        "shed": _sum(counters, "serve_shed_total"),
-        "drained": _sum(counters, "serve_drained_total"),
-        "accept_errors": _sum(counters, "serve_accept_errors_total"),
-        "queue_depth": _sum(gauges, "serve_conn_queue_depth"),
-        "inflight": _sum(gauges, "serve_inflight"),
+        "store_errors": tally(counters, "cache_store_errors_total"),
+        "corrupt_entries": tally(counters, "cache_corrupt_entries_total"),
+        "evictions": tally(counters, "cache_evictions_total"),
+        "admission_timeouts": tally(
+            counters, "serve_admission_timeouts_total"
+        ),
+        "size_bytes": tally(gauges, "cache_size_bytes"),
+        "shed": tally(counters, "serve_shed_total"),
+        "drained": tally(counters, "serve_drained_total"),
+        "accept_errors": tally(counters, "serve_accept_errors_total"),
+        "queue_depth": tally(gauges, "serve_conn_queue_depth"),
+        "inflight": tally(gauges, "serve_inflight"),
     }
 
 
@@ -330,24 +347,13 @@ def decompose_summary(metrics):
     counters = metrics.get("counters", {}) or {}
     histograms = metrics.get("histograms", {}) or {}
 
-    def _sum(section, prefix, field=None):
-        total = 0.0
-        for key, value in section.items():
-            if key != prefix and not key.startswith(prefix + "{"):
-                continue
-            if field is not None:
-                value = (value or {}).get(field, 0)
-            if isinstance(value, (int, float)):
-                total += value
-        return total
-
-    hits = _sum(counters, "partition_cache_hits_total")
-    misses = _sum(counters, "partition_cache_misses_total")
+    hits = _series_sum(counters, "partition_cache_hits_total")
+    misses = _series_sum(counters, "partition_cache_misses_total")
     probes = hits + misses
-    solves = _sum(histograms, "partition_solve_seconds", field="count")
-    seconds = _sum(histograms, "partition_solve_seconds", field="sum")
+    solves = _series_sum(histograms, "partition_solve_seconds", field="count")
+    seconds = _series_sum(histograms, "partition_solve_seconds", field="sum")
     return {
-        "partitions": _sum(counters, "decompose_partitions_total"),
+        "partitions": _series_sum(counters, "decompose_partitions_total"),
         "cache_hits": hits,
         "cache_misses": misses,
         "hit_rate": hits / probes if probes else 0.0,
@@ -387,27 +393,16 @@ def swp_summary(metrics):
             out[name] = out.get(name, 0) + value
         return out
 
-    def _sum(section, prefix, field=None):
-        total = 0.0
-        for key, value in section.items():
-            if key != prefix and not key.startswith(prefix + "{"):
-                continue
-            if field is not None:
-                value = (value or {}).get(field, 0)
-            if isinstance(value, (int, float)):
-                total += value
-        return total
-
     by_status = _by_label("swp_loops_total", "status")
     loops = sum(by_status.values())
     pipelined = by_status.get("pipelined", 0) + by_status.get(
         "fallback_swp", 0
     )
-    at_mii = _sum(counters, "swp_ii_at_mii_total")
-    ratio_count = _sum(histograms, "swp_ii_over_mii", field="count")
-    ratio_sum = _sum(histograms, "swp_ii_over_mii", field="sum")
-    hits = _sum(counters, "swp_cache_hits_total")
-    misses = _sum(counters, "swp_cache_misses_total")
+    at_mii = _series_sum(counters, "swp_ii_at_mii_total")
+    ratio_count = _series_sum(histograms, "swp_ii_over_mii", field="count")
+    ratio_sum = _series_sum(histograms, "swp_ii_over_mii", field="sum")
+    hits = _series_sum(counters, "swp_cache_hits_total")
+    misses = _series_sum(counters, "swp_cache_misses_total")
     probes = hits + misses
     return {
         "loops": loops,
