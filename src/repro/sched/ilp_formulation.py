@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SchedulingError
-from repro.ilp import LinExpr, Model, Sense, Var, lin_sum
+from repro.ilp import LinExpr, Model, Sense, Var
 from repro.machine.units import UnitKind
 
 _EMPTY = ((), (), 0.0)
@@ -115,7 +115,6 @@ class SchedulingIlp:
         self.verify_scopes = {}
         self.forced_copies = []  # (instr, block, condition) copy requirements
         self.deferred_builders = []  # callables run once x/blen vars exist
-        self.objective_extras = []  # expressions added to objective (7)
         self.bundling_cuts = []  # lists of (instr, block) sets to forbid per-cycle
         self.collapsible_branches = set()  # unconditional brs of removable blocks
         self._generated = False
@@ -590,15 +589,11 @@ class SchedulingIlp:
                 )
 
     def _objective(self):
-        """Equation (7): frequency-weighted sum of block lengths.
-
-        Extensions may register additional cost terms (e.g. the Sec. 5.1
-        speculation cost model) through ``objective_extras``.
-        """
+        """Equation (7): frequency-weighted sum of block lengths."""
         terms = {}
         for block in self.region.fn.blocks:
             for t in self._grange(block.name):
                 coef = float(block.freq * t)
                 if coef != 0.0:
                     terms[self.blen[(block.name, t)]] = coef
-        self.model.set_objective(lin_sum([LinExpr(terms), *self.objective_extras]))
+        self.model.set_objective(LinExpr(terms))

@@ -67,6 +67,11 @@ from repro.tools.deadline import Deadline
 
 QUALITY_TIERS = ("optimal", "incumbent", "phase1", "fallback_input")
 
+# Retry budgets of the phase-1 loop, counted separately: cycle-range
+# growths per INFEASIBLE verdict, bundling retries per BundlingError.
+MAX_RESIZE_ATTEMPTS = 3
+MAX_BUNDLE_RETRIES = 4
+
 
 @dataclass(frozen=True)
 class FallbackReason:
@@ -121,10 +126,7 @@ class ScheduleFeatures:
     cyclic: bool = True  # cyclic code motion (5.2)
     partial_ready: bool = True  # partial-ready code motion (5.3)
     predication: bool = True  # predication via code motion (Sec. 4)
-    collapse_branches: bool = True  # block-collapse modeling (5.4)
     two_phase: bool = True  # instruction-count cleanup (5.5)
-    incremental_cuts: bool = True  # append cut rows / reuse built model
-    phase2_objective: str = "instructions"  # | "register_pressure" | "stalls"
     baseline: str = "local"  # input-schedule heuristic: "local" | "greedy"
     verify: bool = True
     backend: str = "highs"
@@ -134,14 +136,7 @@ class ScheduleFeatures:
     heuristic_effort: float | None = 0.5
     reserve: int = 1  # G_A head-room (Sec. 6.1, k)
     freq_cap: float = 5.0  # speculation frequency factor (5.1)
-    speculation_cost: float = 0.0  # Sec. 5.1 cost model weight (paper: unused)
     max_hops: int | None = None  # optional code-motion distance bound
-    max_resize_attempts: int = 3
-    max_bundle_retries: int = 4
-    # Verified rollback: when the path verifier rejects the ILP schedule,
-    # return the input schedule (quality "fallback_input") instead of the
-    # unproven ILP one. Disable only for debugging the verifier itself.
-    rollback_on_verify_failure: bool = True
     # Region decomposition (repro.sched.decompose): partition large
     # routines at legal cut blocks and solve one ILP per partition.
     # Routines below the instruction threshold — and routines where no
@@ -510,7 +505,7 @@ class IlpScheduler:
                     paths_checked=verification.paths_checked,
                     exhaustive=verification.exhaustive,
                 )
-            if not verification.ok and features.rollback_on_verify_failure:
+            if not verification.ok:
                 # Verified rollback: an unproven schedule is never emitted.
                 messages.append(
                     "verification rejected the ILP schedule; "
@@ -681,9 +676,6 @@ class IlpScheduler:
                     "seeded cycle ranges from a cache-family near miss"
                 )
         bundling_cuts = []
-        # Decoupled retry budgets: cycle-range growths are counted per
-        # INFEASIBLE verdict and bundling retries per BundlingError, so cut
-        # re-solves no longer consume ``max_resize_attempts``.
         resize_attempts = 0
         bundle_retries = 0
         # The built (ilp, model) pair is cached across cut-loop re-solves:
@@ -737,11 +729,11 @@ class IlpScheduler:
             )
             if solution.status is SolveStatus.INFEASIBLE:
                 resize_attempts += 1
-                if resize_attempts > features.max_resize_attempts:
+                if resize_attempts > MAX_RESIZE_ATTEMPTS:
                     raise _Degrade(FallbackReason(
                         site, "infeasible",
                         f"{work.name}: model stays infeasible after "
-                        f"{features.max_resize_attempts} cycle-range growths",
+                        f"{MAX_RESIZE_ATTEMPTS} cycle-range growths",
                     ))
                 lengths = grow_lengths(lengths)
                 ilp = model = None
@@ -780,11 +772,11 @@ class IlpScheduler:
                 break
             except BundlingError as exc:
                 bundle_retries += 1
-                if bundle_retries > features.max_bundle_retries:
+                if bundle_retries > MAX_BUNDLE_RETRIES:
                     raise _Degrade(FallbackReason(
                         "bundle", "retries_exhausted",
                         f"bundling still failing after "
-                        f"{features.max_bundle_retries} retries: {exc}",
+                        f"{MAX_BUNDLE_RETRIES} retries: {exc}",
                     ))
                 members = getattr(exc, "instructions", [])
                 placed = {
@@ -806,21 +798,16 @@ class IlpScheduler:
                         "members": len(cut),
                         "prev_objective": solution.objective,
                     }
-                    if features.incremental_cuts:
-                        ilp.append_bundling_cut(cut)
-                        # The previous optimum seeds the re-solve; it violates
-                        # the cut just added, so validation drops it then — but
-                        # a re-solve after several stacked cuts can reuse it.
-                        prev_values = solution.values
-                    else:
-                        ilp = model = None
+                    ilp.append_bundling_cut(cut)
                     messages.append(f"added bundling constraint: {exc}")
                 else:
                     # No offending group attached (an injected fault): retry
-                    # the unchanged model, seeded with its own optimum.
-                    if features.incremental_cuts:
-                        prev_values = solution.values
+                    # the unchanged model.
                     messages.append(f"bundling failed without a cut: {exc}")
+                # The previous optimum seeds the re-solve. It violates a cut
+                # just added, so validation drops it then, but a re-solve
+                # after several stacked cuts can reuse it.
+                prev_values = solution.values
 
         statuses = [solution.status]
         unproven_site = (
@@ -848,45 +835,19 @@ class IlpScheduler:
                 name: reconstruction.schedule.block_length(name)
                 for name in reconstruction.schedule.block_order
             }
-
-            def rebuild():
-                ilp2, groups2 = self._ilp_factory(
-                    region, lengths, bundling_cuts
-                )()
-                rebuild.groups = groups2
-                return ilp2
-
-            with trace.span(
-                "solve.phase2", reused_model=features.incremental_cuts
-            ) as p2span:
-                if features.incremental_cuts:
-                    # Reuse the phase-1 model: pin lengths / swap the
-                    # objective in place and seed with the phase-1 optimum
-                    # (feasible for the pinned model by construction).
-                    rebuild.groups = spec_groups
-                    trace.count("warm_start_hits")
-                    outcome = minimize_instruction_count(
-                        rebuild,
-                        phase1_lengths,
-                        backend=features.backend,
-                        objective=features.phase2_objective,
-                        ilp=ilp,
-                        incumbent=solution.values,
-                        heuristic_effort=features.heuristic_effort,
-                        deadline=deadline,
-                        solve_extra=solve_extra,
-                    )
-                else:
-                    trace.count("warm_start_misses")
-                    outcome = minimize_instruction_count(
-                        rebuild,
-                        phase1_lengths,
-                        backend=features.backend,
-                        objective=features.phase2_objective,
-                        heuristic_effort=features.heuristic_effort,
-                        deadline=deadline,
-                        solve_extra=solve_extra,
-                    )
+            with trace.span("solve.phase2") as p2span:
+                # Reuse the phase-1 model: pin lengths / swap the objective
+                # in place and seed with the phase-1 optimum (feasible for
+                # the pinned model by construction).
+                trace.count("warm_start_hits")
+                outcome = minimize_instruction_count(
+                    ilp,
+                    phase1_lengths,
+                    backend=features.backend,
+                    incumbent=solution.values,
+                    deadline=deadline,
+                    solve_extra=solve_extra,
+                )
                 if outcome is not None:
                     p2stats = outcome[1].stats
                     p2span.set_attr("status", outcome[1].status.name)
@@ -913,9 +874,7 @@ class IlpScheduler:
             else:
                 ilp2, solution2 = outcome
                 try:
-                    recon2 = reconstruct_schedule(
-                        ilp2, solution2, rebuild.groups
-                    )
+                    recon2 = reconstruct_schedule(ilp2, solution2, spec_groups)
                     bundles2 = bundle_schedule(recon2.schedule)
                 except (BundlingError, SchedulingError) as exc:
                     phase2_failure = FallbackReason(
@@ -927,7 +886,6 @@ class IlpScheduler:
                     ilp = ilp2
                     final_solution = solution2
                     reconstruction = recon2
-                    spec_groups = rebuild.groups
                     bundles_out = bundles2
                     phase2_applied = True
                     statuses.append(solution2.status)
@@ -1022,9 +980,7 @@ class IlpScheduler:
                     allow_data=features.data_speculation,
                 )
                 used = _used_registers(region.fn)
-                spec_groups = attach_speculation(
-                    ilp, candidates, used, cost_weight=features.speculation_cost
-                )
+                spec_groups = attach_speculation(ilp, candidates, used)
             if features.cyclic:
                 from repro.sched.cyclic import attach_cyclic_motion
 
@@ -1033,8 +989,7 @@ class IlpScheduler:
                 from repro.sched.partial_ready import attach_partial_ready
 
                 attach_partial_ready(ilp, spec_groups)
-            if features.collapse_branches:
-                _mark_collapsible_branches(ilp)
+            _mark_collapsible_branches(ilp)
             _add_guard_dependences(ilp)
             return ilp, spec_groups
 

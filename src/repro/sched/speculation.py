@@ -90,17 +90,12 @@ def find_speculation_candidates(region, allow_control=True, allow_data=True):
     return groups
 
 
-def attach_speculation(ilp, candidates, used_registers, cost_weight=0.0):
+def attach_speculation(ilp, candidates, used_registers):
     """Wire candidate groups into a :class:`SchedulingIlp` (pre-generate).
 
-    ``cost_weight`` enables the cost model the paper sketches in Sec. 5.1:
-    "the use of control speculation should be guided by a cost model which
-    estimates the failure probabilities of individual loads ... [which]
-    can be integrated into the objective function". When nonzero, every
-    selected group pays ``cost_weight · failure_probability ·
-    freq(s(load))`` in the objective — the expected recovery/miss penalty.
-    The paper ran without it ("this information was not available during
-    our experiments"), so 0 is the faithful default.
+    Groups carry no objective cost: the paper leaves the Sec. 5.1 cost
+    model unused ("this information was not available during our
+    experiments").
     """
     region = ilp.region
     allocator = fresh_register_allocator(used_registers, RegisterBank.GR)
@@ -110,20 +105,8 @@ def attach_speculation(ilp, candidates, used_registers, cost_weight=0.0):
         if group is None:
             continue
         _wire_group(ilp, group)
-        if cost_weight > 0.0:
-            _attach_cost(ilp, group, cost_weight)
         spec_groups.append(group)
     return spec_groups
-
-
-def _attach_cost(ilp, group, cost_weight):
-    """Expected speculation penalty, added to the objective at generate()."""
-    region = ilp.region
-    load = group.original
-    freq = region.fn.block(region.source_block[load]).freq
-    failure = float(load.annotations.get("miss", 0.01))
-    penalty = cost_weight * failure * freq
-    ilp.objective_extras.append(penalty * group.usespec)
 
 
 # -- group construction --------------------------------------------------------

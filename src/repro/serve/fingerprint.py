@@ -24,7 +24,7 @@ existing entry wholesale without touching the store).
 
 The **family** fingerprint is deliberately coarser: it drops latency
 overrides, immediates, and profile numbers, and ignores solver-only
-feature knobs (time limits, backend, heuristic effort, retry budgets).
+feature knobs (time limits, backend, heuristic effort).
 Requests in one family are *near misses* of each other — close enough
 that a cached sibling's achieved block lengths seed the cycle ranges of
 a fresh solve (:mod:`repro.serve.service`), but not interchangeable as
@@ -46,7 +46,10 @@ from repro.ir.registers import Register
 # ScheduleFeatures knobs and the kind="loop" entries.
 # serve-4: the portfolio race and compact length linking were removed,
 # dropping four ScheduleFeatures fields from every key.
-CODE_VERSION = "serve-4"
+# serve-5: seven ScheduleFeatures knobs no caller set were removed (the
+# rebuild-per-cut path, the alternative phase-2 objectives, the
+# speculation cost model, collapse and rollback switches, retry budgets).
+CODE_VERSION = "serve-5"
 
 # ScheduleFeatures fields that steer the *solver*, not the model: two
 # requests differing only here want the same schedule, so they share a
@@ -57,10 +60,6 @@ SOLVER_ONLY_FEATURES = frozenset({
     "heuristic_effort",
     "backend",
     "verify",
-    "incremental_cuts",
-    "max_resize_attempts",
-    "max_bundle_retries",
-    "rollback_on_verify_failure",
     # Decomposition partitions the *search*, aiming at the same schedule:
     # family hints (achieved block lengths) transfer across the switch.
     # Exact keys still differ — features_dict(family=False) keeps every

@@ -168,8 +168,20 @@ def fan_out(tasks, width):
 
 def merge_trace(trace, sub_trace):
     """Fold a fanned-out task's :class:`~repro.obs.core.Trace` into the
-    routine trace (plain data)."""
-    trace.records.extend(sub_trace.records)
+    routine trace (plain data).
+
+    Record offsets move from the sub-trace's epoch to ``trace``'s, and
+    the sub-trace's top-level spans become children of the span open on
+    ``trace`` at merge time (``optimize`` for the SWP ladder,
+    ``decompose`` for partitions).
+    """
+    shift = sub_trace._epoch - trace._epoch
+    parent = trace._stack[-1].name if trace._stack else None
+    for record in sub_trace.records:
+        record = dict(record, ts=record["ts"] + shift)
+        if record["parent"] is None:
+            record["parent"] = parent
+        trace.records.append(record)
     for name, value in sub_trace.counters.items():
         trace.count(name, value)
     trace.solves.extend(sub_trace.solves)

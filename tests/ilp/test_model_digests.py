@@ -131,7 +131,7 @@ SCRIPT = "COMBO = " + repr(COMBO) + textwrap.dedent(
 
         phase2.solve_model = capture
         try:
-            phase2.minimize_instruction_count(None, dict(lengths), ilp=ilp)
+            phase2.minimize_instruction_count(ilp, dict(lengths))
         except Captured:
             pass
         out["size"] = [model.num_constraints, model.num_variables]

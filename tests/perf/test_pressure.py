@@ -35,20 +35,6 @@ def test_pressure_bounds(optimized):
     assert report.weighted_average <= report.peak
 
 
-def test_phase2_register_objective_not_worse():
-    fn = parse_function(TEXT)
-    eager = optimize_function(
-        fn, ScheduleFeatures(time_limit=30, phase2_objective="stalls")
-    )
-    lazy = optimize_function(
-        fn,
-        ScheduleFeatures(time_limit=30, phase2_objective="register_pressure"),
-    )
-    p_eager = measure_pressure(eager.output_schedule, eager.fn)
-    p_lazy = measure_pressure(lazy.output_schedule, lazy.fn)
-    assert p_lazy.weighted_average <= p_eager.weighted_average + 1e-9
-
-
 def test_empty_blocks_zero_pressure(optimized):
     from repro.sched.schedule import Schedule
 

@@ -49,15 +49,6 @@ def test_collapsed_branch_dropped(collapsed):
     assert "br.cond" in placed and "br.ret" in placed
 
 
-def test_collapse_disabled_keeps_branch():
-    result = optimize_function(
-        parse_function(TEXT),
-        ScheduleFeatures(time_limit=30, collapse_branches=False),
-    )
-    assert result.verification.ok
-    assert "B" not in result.output_schedule.collapsed_blocks()
-
-
 def test_backedge_branch_never_collapses(loop_fn):
     result = optimize_function(loop_fn, ScheduleFeatures(time_limit=30))
     assert result.verification.ok

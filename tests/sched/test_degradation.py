@@ -132,12 +132,6 @@ def test_corrupt_solution_without_phase2_rolls_back():
     assert result.verification.ok  # the fallback was re-verified clean
 
 
-def test_rollback_can_be_disabled_for_debugging():
-    result = run("verify=error", rollback_on_verify_failure=False)
-    assert result.quality != "fallback_input"
-    assert result.verification is not None and not result.verification.ok
-
-
 # -- deadline budget ----------------------------------------------------------
 
 

@@ -1,17 +1,12 @@
-"""Incremental cut-loop re-solves must be invisible in the output.
+"""Incremental cut-loop re-solves.
 
 The driver caches the built model across bundling-cut re-solves and
-appends cut rows instead of regenerating (``ScheduleFeatures.
-incremental_cuts``). The legacy rebuild-everything path stays available;
-this file pins the two paths to byte-identical schedules on the Fig. 1
-code-motion sample and on the Sec. 4.2 cut-trigger routine.
+appends cut rows instead of regenerating it; phase 2 reuses the same
+model.
 """
-
-import pytest
 
 from repro.ir.parser import parse_function
 from repro.sched.scheduler import ScheduleFeatures, optimize_function
-from repro.workloads.samples import fig1_code_motion_sample
 
 CUT_TRIGGER = """
 .proc fbound
@@ -27,49 +22,17 @@ CUT_TRIGGER = """
 """
 
 
-def _placements(schedule):
-    return [
-        (block, cycle, instr.mnemonic, tuple(instr.regs_written()))
-        for block in schedule.block_order
-        for cycle, group in sorted(schedule.cycles_of(block).items())
-        for instr in group
-    ]
-
-
-def _run_both(fn_factory):
-    results = {}
-    for incremental in (False, True):
-        features = ScheduleFeatures(time_limit=30, incremental_cuts=incremental)
-        results[incremental] = optimize_function(fn_factory(), features)
-    return results[False], results[True]
-
-
-def test_fig1_diamond_identical_schedules():
-    rebuilt, incremental = _run_both(
-        lambda: parse_function(fig1_code_motion_sample())
+def test_cut_trigger_fires_a_cut_and_verifies():
+    result = optimize_function(
+        parse_function(CUT_TRIGGER), ScheduleFeatures(time_limit=30)
     )
-    assert _placements(rebuilt.output_schedule) == _placements(
-        incremental.output_schedule
-    )
-    assert rebuilt.solution.objective == pytest.approx(
-        incremental.solution.objective
-    )
-    assert rebuilt.verification.ok and incremental.verification.ok
-
-
-def test_cut_trigger_identical_schedules_and_cuts():
-    rebuilt, incremental = _run_both(lambda: parse_function(CUT_TRIGGER))
-    # Both paths fired the Sec. 4.2 loop...
-    for result in (rebuilt, incremental):
-        assert any("bundling constraint" in m for m in result.messages)
-    # ...and landed on the same schedule.
-    assert _placements(rebuilt.output_schedule) == _placements(
-        incremental.output_schedule
-    )
-    assert rebuilt.solution.objective == pytest.approx(
-        incremental.solution.objective
-    )
-    assert rebuilt.verification.ok and incremental.verification.ok
+    # The Sec. 4.2 loop appended a cut and re-solved the same model...
+    assert any("bundling constraint" in m for m in result.messages)
+    assert result.trace.counters.get("bundling_cuts", 0) >= 1
+    assert result.trace.durations().get("solve.cut_resolve")
+    # ...and the schedule it shipped passed verification.
+    assert result.quality == "optimal"
+    assert result.verification.ok
 
 
 def test_incremental_model_grows_in_place():

@@ -103,6 +103,24 @@ def test_removed_feature_fields_are_gone():
             ScheduleFeatures(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("incremental_cuts", False),
+        ("phase2_objective", "stalls"),
+        ("speculation_cost", 1.0),
+        ("collapse_branches", False),
+        ("rollback_on_verify_failure", False),
+        ("max_resize_attempts", 3),
+        ("max_bundle_retries", 4),
+    ],
+)
+def test_unset_knobs_are_removed(name, value):
+    """Knobs no caller set are gone, not silently accepted."""
+    with pytest.raises(TypeError):
+        ScheduleFeatures(**{name: value})
+
+
 def test_scheduler_object_reusable(diamond_result):
     from tests.conftest import STRAIGHT_TEXT
 

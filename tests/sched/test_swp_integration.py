@@ -219,3 +219,17 @@ def test_ladder_outcome_survives_a_degraded_acyclic_pipeline(monkeypatch):
     assert result.quality == "fallback_input"
     assert len(result.swp_outcomes) == 1
     assert result.swp_outcomes[0].pipelined
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_ladder_spans_nest_under_optimize_after_analysis(monkeypatch, width):
+    """The merged ladder trace shares the routine trace's clock and tree."""
+    _spec, fn = list(loop_dominated_family(count=3, seed=1))[2]
+    result = _optimize_at_width(monkeypatch, width, fn)
+    records = result.trace.records
+    analyze = next(r for r in records if r["name"] == "analyze")
+    ladders = [r for r in records if r["name"] == "swp.ladder"]
+    assert ladders
+    for record in ladders:
+        assert record["parent"] == "optimize"
+        assert record["ts"] >= analyze["ts"] + analyze["dur"]

@@ -305,14 +305,14 @@ GOLDEN = [
     (
         generate_routine,
         RoutineSpec(name="g0", seed=0, instructions=12, blocks=3),
-        "586452a66241f31347648de37bef788bd7ee3dafda3ccdd4de6043e2b4ab5ea0",
-        "c31520c8f044a7b81bfead5684e8dd443c58fea50ee505da45b6de625ce3babe",
+        "2abe4c6fd37400606822d4a132c7428f85a9116f5603c95364ca1433e421b351",
+        "b304f8ff1d213cdfb0df115aa3cf2d31957b29bb3b5348096c10ef768303e01f",
     ),
     (
         generate_routine,
         RoutineSpec(name="g1", seed=1),
-        "1b589e9bb06e877b3044aa5a4cd0e170ee9f9aa019eb8d44ab1c10f7ee6ec3c7",
-        "d6e47723a4156a76561f3e647d162d715eb0c59b495dbb53db284214eea63462",
+        "707a9c58f170023270f78baf050ba108e12a6ae942424ddb611a2b87a5dde720",
+        "a4e56c46e2d10649b4ac3702bac89bd4a2b8214af5bd4c570fef11478ef90107",
     ),
     (
         generate_routine,
@@ -320,20 +320,20 @@ GOLDEN = [
             name="g2", seed=2, instructions=40, blocks=6, loops=2,
             input_spec_loads=2,
         ),
-        "415c80d6c530fd6c3b8382275d77c42ef4b44ad1c4b700d52558a3652353e76b",
-        "a57d44f9ec406d48d2d74e1f63c2f3d36fe70bb77cb422f223dfee074403bd89",
+        "68b4dee8de3a7381c0a4987348cda6002c40fa3694e293f3f5b93ae64254188e",
+        "0f2450f0c6c21f3c16c68cdd26a1d195780df464db90ae1b30b59d33b4ad3d42",
     ),
     (
         generate_routine,
         RoutineSpec(name="g3", seed=3, instructions=150, blocks=16),
-        "e3d05abb6c57a4aa5da1465f16f034c15747fb1127dfa9dcff82f7bde7069ed9",
-        "37ae4cd3fc28093d8faddb3dbf9ad158cbdb6bd5dc093be8677460a26c1f8fc6",
+        "d8f9aeb3203cd4edfe7b4200772d125e44caebc860c138ddc9aaf79ed4132190",
+        "fad52c7d56920fd65c85a09305ed4d61607a135eba7b840ff01a331567b021ef",
     ),
     (
         generate_loop_dominated,
         LoopDominatedSpec(name="g4", seed=4),
-        "0b15ed2ebdfadacbacf10fc2cd41f5c97bf55b9eaec18c45f34903ce530baa7f",
-        "4a643d48b36180ceeae4c2aafc93f70d2eeaa35ff14d3b37ef3b0443d0851cd9",
+        "ab6b8e5e093af8e96ed514de2729458bd44ec3d7e1d3d528f69e13a84c30ea8a",
+        "f2647c315d2808dadba49513923d9c04b6bf3b337b52e1cc836491c4655a3aba",
     ),
     (
         generate_multi_region,
@@ -341,8 +341,8 @@ GOLDEN = [
             name="g5", seed=5, segments=3, segment_instructions=14,
             segment_blocks=5,
         ),
-        "4b49bc122e9a96e750c8f645503d301d6bdb5b66cfb984338c463c34a9cf57c3",
-        "6088acd3ae4cca34539638891e8f206efaf8ecba48679c048c72a18d189d9c31",
+        "918c57fb4e762f4794b16d7d506f732d8335af98364712e71f2aae9331d46ee2",
+        "3a0c0296a0b4c68cddb0c41836d1d7d02e5f9a1ff9f1c775495d6914e0fce61c",
     ),
 ]
 
