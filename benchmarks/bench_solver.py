@@ -7,11 +7,10 @@ Sections, each a dict in ``BENCH_solver.json`` at the repo root:
   model, seed (git-history replica) vs current vectorized presolve;
 * ``bb_throughput`` — branch-and-bound nodes/second on a fixed MILP
   batch, seed solver replica vs the rewritten lazy/warm-started solver;
-* ``cut_resolve``   — bundling-cut loop cost on the Sec. 4.2 trigger
-  routine, rebuild-per-cut (seed behaviour) vs incremental append;
-* ``sweep``         — end-to-end nine-routine Table 2 sweep, seed code
-  path (sequential, rebuild everything) vs current (incremental model
-  reuse + process-pool fan-out). Fan-out width = CPU count, so the
+* ``sweep``         — end-to-end nine-routine Table 2 sweep, seed
+  configuration (sequential, HiGHS' stock heuristic effort) vs current
+  (tuned heuristic effort + process-pool fan-out). Both sides run
+  today's incremental cut loop; fan-out width = CPU count, so the
   measured ratio is hardware-dependent; ``workers`` records it.
 * ``obs_overhead``  — scheduler-path cost of the observability layer,
   recording off vs on;
@@ -69,29 +68,12 @@ import numpy as np  # noqa: E402
 from repro.ilp import Model  # noqa: E402
 from repro.ilp.branch_bound import BranchBoundSolver  # noqa: E402
 from repro.ilp.presolve import presolve_arrays  # noqa: E402
-from repro.ir.parser import parse_function  # noqa: E402
 from repro.sched.scheduler import ScheduleFeatures, optimize_function  # noqa: E402
 from repro.tools.experiments import default_features  # noqa: E402
 from repro.tools.parallel import run_routines_parallel  # noqa: E402
 from repro.workloads.spec_routines import SPEC_ROUTINES  # noqa: E402
 
 ROUTINES = [spec.name for spec in SPEC_ROUTINES]
-
-# Sec. 4.2 trigger: two F-unit ops plus a movl cannot be encoded in one
-# cycle's templates, so the driver must add a bundling cut and re-solve.
-CUT_TRIGGER = """
-.proc fbound
-.livein r32, f5, f6, f8, f9
-.liveout r8, f4, f7
-.block A freq=100
-  fma f4 = f5, f6
-  fma f7 = f8, f9
-  movl r10 = 99999
-  add r8 = r10, r32
-  br.ret b0
-.endp
-"""
-
 
 # -- seed replica -----------------------------------------------------------
 def load_seed_solver():
@@ -271,50 +253,21 @@ def bench_bb_throughput(seed_modules, smoke):
     return out
 
 
-def bench_cut_resolve(smoke):
-    """Bundling-cut loop: rebuild-per-cut vs incremental append."""
-    del smoke  # the trigger routine is tiny either way
-
-    def run(incremental):
-        fn = parse_function(CUT_TRIGGER)
-        t0 = time.perf_counter()
-        result = optimize_function(
-            fn,
-            ScheduleFeatures(time_limit=30, incremental_cuts=incremental),
-        )
-        elapsed = time.perf_counter() - t0
-        cuts = sum("bundling constraint" in m for m in result.messages)
-        placements = [
-            (blk, cycle, instr.mnemonic)
-            for blk in result.output_schedule.block_order
-            for cycle, group in result.output_schedule.cycles_of(blk).items()
-            for instr in group
-        ]
-        return elapsed, cuts, sorted(placements), result.solution.objective
-
-    rebuild_s, rebuild_cuts, rebuild_sched, rebuild_obj = run(False)
-    incr_s, incr_cuts, incr_sched, incr_obj = run(True)
-    return {
-        "routine": "fbound (Sec 4.2 trigger)",
-        "cuts_fired": incr_cuts,
-        "rebuild_seconds": rebuild_s,
-        "incremental_seconds": incr_s,
-        "speedup": rebuild_s / incr_s if incr_s else None,
-        "schedules_identical": rebuild_sched == incr_sched,
-        "objectives_identical": rebuild_obj == incr_obj,
-    }
-
-
 def bench_sweep(smoke):
-    """End-to-end nine-routine Table 2 sweep, seed path vs current path."""
+    """End-to-end nine-routine Table 2 sweep, seed config vs current.
+
+    The seed side is one worker with HiGHS' stock heuristic effort (the
+    seed never set it); it runs today's incremental cut loop and phase-2
+    model reuse, which are the only paths left. ``speedup`` therefore
+    measures heuristic effort plus process-pool fan-out, not the cut
+    loop.
+    """
     scale = 0.25 if smoke else 0.5
     time_limit = 20 if smoke else 60
     workers = os.cpu_count() or 1
 
-    # Seed configuration: rebuild-everything cut loop, no incumbent
-    # carry-over, HiGHS' stock heuristic effort (the seed never set it).
     seed_features = default_features(
-        time_limit=time_limit, incremental_cuts=False, heuristic_effort=None
+        time_limit=time_limit, heuristic_effort=None
     )
     t0 = time.perf_counter()
     seed_out = run_routines_parallel(
@@ -322,7 +275,7 @@ def bench_sweep(smoke):
     )
     seed_total = time.perf_counter() - t0
 
-    cur_features = default_features(time_limit=time_limit, incremental_cuts=True)
+    cur_features = default_features(time_limit=time_limit)
     t0 = time.perf_counter()
     cur_out = run_routines_parallel(
         ROUTINES, features=cur_features, scale=scale, max_workers=workers
@@ -629,14 +582,14 @@ def main(argv=None):
     )
     parser.add_argument(
         "--sections",
-        default="root_lp,bb_throughput,cut_resolve,sweep,obs_overhead,decompose,swp",
+        default="root_lp,bb_throughput,sweep,obs_overhead,decompose,swp",
         help="comma list of sections to run",
     )
     args = parser.parse_args(argv)
     sections = set(args.sections.split(","))
     known = {
-        "root_lp", "bb_throughput", "cut_resolve", "sweep", "obs_overhead",
-        "decompose", "swp",
+        "root_lp", "bb_throughput", "sweep", "obs_overhead", "decompose",
+        "swp",
     }
     unknown = sections - known
     if unknown:
@@ -657,9 +610,6 @@ def main(argv=None):
     if "bb_throughput" in sections:
         report["bb_throughput"] = bench_bb_throughput(seed_modules, args.smoke)
         print(f"bb_throughput: {json.dumps(report['bb_throughput'], indent=2)}")
-    if "cut_resolve" in sections:
-        report["cut_resolve"] = bench_cut_resolve(args.smoke)
-        print(f"cut_resolve: {json.dumps(report['cut_resolve'], indent=2)}")
     if "sweep" in sections:
         report["sweep"] = bench_sweep(args.smoke)
         summary = {

@@ -80,7 +80,7 @@ METRIC_HELP = {
     "incumbent_seeded_solves_total": "solves seeded with a prior incumbent",
     "presolve_calls_total": "presolve invocations (bb backend)",
     "presolve_fixed_vars_total": "variables fixed by presolve",
-    "phase2_solves_total": "phase-2 solves, by model reuse",
+    "phase2_solves_total": "phase-2 solves",
     "routine_fallback_total": "final quality tier per routine",
     "routine_nodes_total": "branch-and-bound nodes per routine",
     "routine_warm_start_hits_total": "warm-start hits per routine",

@@ -2,9 +2,7 @@
 
 Used to quantify the paper's Sec. 5.5 concern ("long-range code motion
 increases the register pressure, and the first phase could use more of
-it than necessary") and to validate the ``register_pressure`` phase-2
-objective: at identical block lengths, deferring definitions must not
-increase — and typically decreases — the measured peak pressure.
+it than necessary").
 
 The estimate is per-block and conservative: a register is counted live
 at a cycle if it is live into the block (function-level liveness), or

@@ -21,7 +21,7 @@ def minimize_instruction_count(
     deadline=None,
     solve_extra=None,
 ):
-    """Run phase 2 on the phase-1 model; returns ``(ilp, solution)`` or
+    """Run phase 2 on the phase-1 model; returns the solution, or
     ``None`` on failure.
 
     ``phase1_lengths`` maps block name -> optimal length from phase 1.
@@ -64,6 +64,4 @@ def minimize_instruction_count(
             status=solution.status.name,
             gap=solution.stats.gap,
         )
-    if not solution:
-        return None
-    return ilp, solution
+    return solution if solution else None

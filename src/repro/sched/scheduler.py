@@ -840,7 +840,7 @@ class IlpScheduler:
                 # in place and seed with the phase-1 optimum (feasible for
                 # the pinned model by construction).
                 trace.count("warm_start_hits")
-                outcome = minimize_instruction_count(
+                solution2 = minimize_instruction_count(
                     ilp,
                     phase1_lengths,
                     backend=features.backend,
@@ -848,9 +848,9 @@ class IlpScheduler:
                     deadline=deadline,
                     solve_extra=solve_extra,
                 )
-                if outcome is not None:
-                    p2stats = outcome[1].stats
-                    p2span.set_attr("status", outcome[1].status.name)
+                if solution2 is not None:
+                    p2stats = solution2.stats
+                    p2span.set_attr("status", solution2.status.name)
                     p2span.set_attr("nodes", p2stats.nodes)
                     if p2stats.gap is not None:
                         p2span.set_attr("gap", p2stats.gap)
@@ -859,22 +859,21 @@ class IlpScheduler:
                         p2span.set_attr(
                             "gap_timeline", p2timeline.as_dict()
                         )
-            if outcome is not None:
+            if solution2 is not None:
                 trace.solves.append(
                     insight.solve_telemetry(
-                        "solve.phase2", features.backend, outcome[1]
+                        "solve.phase2", features.backend, solution2
                     )
                 )
-            if outcome is None:
+            if solution2 is None:
                 phase2_failure = FallbackReason(
                     "solve.phase2", "no_solution",
                     "phase-2 solve returned no usable solution",
                 )
                 messages.append("phase 2 failed: no usable solution")
             else:
-                ilp2, solution2 = outcome
                 try:
-                    recon2 = reconstruct_schedule(ilp2, solution2, spec_groups)
+                    recon2 = reconstruct_schedule(ilp, solution2, spec_groups)
                     bundles2 = bundle_schedule(recon2.schedule)
                 except (BundlingError, SchedulingError) as exc:
                     phase2_failure = FallbackReason(
@@ -883,7 +882,6 @@ class IlpScheduler:
                     messages.append(f"phase 2 discarded: {exc}")
                 else:
                     # keep phase-1 solver stats; swap the schedule pieces
-                    ilp = ilp2
                     final_solution = solution2
                     reconstruction = recon2
                     bundles_out = bundles2

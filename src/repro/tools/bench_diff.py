@@ -54,7 +54,6 @@ CONFIG_KEYS = {
 SECTION_REL = {
     "root_lp": 1.0,
     "bb_throughput": 0.75,
-    "cut_resolve": 1.0,
     "sweep": 1.0,
     "obs_overhead": 0.10,
     # Serving benchmarks (BENCH_serve.json): the gated signals are the
