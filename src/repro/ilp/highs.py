@@ -24,6 +24,15 @@ from repro.obs import core as obs
 from repro.obs.insight import GapTimeline, fault_timeline as _fault_timeline
 from repro.tools import faults
 
+# scipy's milp flags ``mip_heuristic_effort`` as unrecognized but passes it
+# to HiGHS verbatim; the warning is noise. The filter is installed once,
+# here: ``warnings.catch_warnings()`` around each solve would swap the
+# process-wide filter list, which races with solves on other threads (the
+# SWP ladder, decompose's partitions).
+warnings.filterwarnings(
+    "ignore", message="Unrecognized options", category=RuntimeWarning
+)
+
 
 class HighsSolver:
     """Solve models with HiGHS via scipy.
@@ -40,12 +49,12 @@ class HighsSolver:
         default is 0.
     heuristic_effort:
         HiGHS ``mip_heuristic_effort`` (default 0.5, HiGHS' own default
-        is 0.05). The scheduling models have many equal-length feasible
-        schedules, so spending more time on primal heuristics finds a
-        strong incumbent early and lets branch-and-cut prune most of the
-        tree; on the Table 2 routines this halves solve time while the
-        gap tolerance (and hence the proven optimum) is unchanged.
-        ``None`` keeps the HiGHS default.
+        is 0.05). On HiGHS 1.12 (scipy 1.17) it does not pay: the smoke
+        ``sweep`` of ``benchmarks/bench_solver.py`` (nine Table 2
+        routines, scale 0.25) summed 12.9 s of per-routine solve time at
+        0.05 and 13.2 s at 0.5, with identical optima. It stays as the
+        ``heuristic_effort`` wire override and as the bench's seed
+        reference (``None`` keeps the HiGHS default).
     """
 
     def __init__(
@@ -138,20 +147,15 @@ class HighsSolver:
         if self.node_limit is not None:
             options["node_limit"] = int(self.node_limit)
         if self.heuristic_effort is not None:
-            # Forwarded verbatim to HiGHS (scipy flags it as unrecognized
-            # but passes it through; the warning is just noise).
+            # Forwarded verbatim to HiGHS (see the module's warning filter).
             options["mip_heuristic_effort"] = float(self.heuristic_effort)
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message="Unrecognized options", category=RuntimeWarning
-            )
-            result = optimize.milp(
-                arrays["c"],
-                constraints=constraints,
-                bounds=bounds,
-                integrality=arrays["integrality"].astype(int),
-                options=options,
-            )
+        result = optimize.milp(
+            arrays["c"],
+            constraints=constraints,
+            bounds=bounds,
+            integrality=arrays["integrality"].astype(int),
+            options=options,
+        )
         elapsed = time.perf_counter() - start
 
         stats = SolverStats(

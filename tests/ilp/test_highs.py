@@ -1,5 +1,9 @@
 """HiGHS backend behaviour."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.ilp import HighsSolver, Model, SolveStatus
@@ -49,3 +53,51 @@ def test_stats_carry_backend_name():
     solution = HighsSolver().solve(model)
     assert solution.stats.backend == "highs"
     assert solution.stats.time_seconds >= 0.0
+
+
+THREADED_SOLVES = """
+import sys
+import threading
+
+from repro.ilp import HighsSolver, Model
+
+sys.setswitchinterval(1e-6)
+model = Model()
+a, b = model.add_binary("a"), model.add_binary("b")
+model.add_constraint(a + b <= 1)
+model.set_objective(-(3 * a + 2 * b))
+errors = []
+
+
+def solve_many():
+    try:
+        for _ in range(400):
+            HighsSolver(heuristic_effort=0.5).solve(model)
+    except Exception as exc:
+        errors.append(exc)
+
+
+threads = [threading.Thread(target=solve_many) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(errors[:1])
+sys.exit(1 if errors else 0)
+"""
+
+
+def test_unrecognized_option_warning_stays_silent_across_threads():
+    # A per-solve warnings.catch_warnings() swaps the process-wide filter
+    # list: one thread's exit drops the filter another thread relies on,
+    # and under -W error the warning then fails that thread's solve.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", THREADED_SOLVES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
