@@ -8,11 +8,14 @@ its ILP model; this package is the production version of that extension
     Principled lower bounds on the initiation interval — ResMII from
     per-unit-kind resource counts against the Itanium 2 dispersal
     windows, RecMII as the max cycle ratio over distance-annotated DDG
-    cycles (binary search + Bellman–Ford).
+    cycles (binary search + Bellman–Ford) — and, from the same
+    relaxation, each instruction's earliest/latest start window at a
+    given II.
 ``repro.sched.modulo.formulation``
     The genuinely *modulo* ILP: decision variables per (instruction,
     row = cycle mod II, stage), modulo reservation-table constraints,
-    and a stage-count/register-pressure bound — emitted as a standard
+    and a stage-count/register-pressure bound, with variables only
+    inside the start windows — emitted as a standard
     :class:`repro.ilp.Model`, so every backend solves it.
 ``repro.sched.modulo.ladder``
     The deadline-aware II search: MII upward with per-rung budget
@@ -30,6 +33,7 @@ from repro.sched.modulo.bounds import (
     critical_path,
     recurrence_mii,
     resource_mii,
+    start_windows,
 )
 from repro.sched.modulo.formulation import ModuloIlp
 from repro.sched.modulo.oracle import OracleReport, kernel_vs_unrolled
@@ -54,6 +58,7 @@ __all__ = [
     "critical_path",
     "recurrence_mii",
     "resource_mii",
+    "start_windows",
     "ModuloIlp",
     "LoopPipelineOutcome",
     "pipeline_loop",

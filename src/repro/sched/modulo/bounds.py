@@ -1,34 +1,25 @@
-"""Lower bounds on the initiation interval (MII).
+"""Lower bounds on the initiation interval (MII) and start windows.
 
 Modulo scheduling searches for the smallest initiation interval II at
 which a loop kernel exists.  Two classic lower bounds prune that search
-before any ILP is built, and both are *principled* — each is the exact
-optimum of a relaxation of the full problem:
+before any ILP is built, each the exact optimum of a relaxation:
 
-**ResMII** (resource-constrained MII) relaxes every dependence: even
-with unlimited reordering freedom, each kernel iteration must issue the
-body's instructions through the Itanium 2 dispersal windows.  For every
-unit class the bound is ``ceil(uses / ports)``; the machine-wide issue
-width (with ``L``-unit ops costing two slots, as in the bundle
-templates) and the shared M+I dispersal pool give two more.  ResMII is
-the max over all of them — the steady-state throughput wall.
+**ResMII** relaxes every dependence: each kernel iteration must still
+issue the body through the Itanium 2 dispersal windows, so per unit
+class the bound is ``ceil(uses / ports)``; the issue width (``L``-unit
+ops cost two slots) and the shared M+I pool give two more.
 
-**RecMII** (recurrence-constrained MII) relaxes every resource: a
-dependence cycle C with total latency L(C) and total iteration distance
-D(C) forces ``II >= ceil(L(C) / D(C))`` — each trip around the cycle
-advances D(C) iterations and must take at least L(C) cycles.  RecMII is
-the maximum cycle ratio over all cycles of the distance-annotated DDG.
-Enumerating cycles is exponential, so the ratio is resolved by binary
-search on II: candidate II is infeasible iff the graph with edge
-weights ``latency − distance·II`` has a positive-weight cycle, detected
-by Bellman–Ford (|V| relaxation passes; a pass that still improves
-proves a positive cycle).  The search is monotone — raising II only
-lowers weights — so the first feasible II is exactly
-``max_C ceil(L(C)/D(C))``.
+**RecMII** relaxes every resource: a dependence cycle C with latency
+L(C) and iteration distance D(C) forces ``II >= ceil(L(C) / D(C))``.
+Rather than enumerate cycles, a binary search on II asks whether the
+arcs weighted ``latency − distance·II`` hold a positive cycle
+(Bellman–Ford: a bound still moving after |V| passes proves one).
+Raising II only lowers weights, so the first II without one is RecMII.
 
-Any feasible modulo schedule satisfies ``II >= max(ResMII, RecMII)``;
-the II ladder (:mod:`repro.sched.modulo.ladder`) starts there and the
-bench/tests assert how often the bound is achieved.
+The same relaxation gives each instruction's **start window** at a
+given II — the earliest and latest start the dependence (and lifetime)
+rows allow inside a horizon.  The ILPs create variables only inside
+those windows, and an empty window proves the II infeasible unsolved.
 """
 
 from __future__ import annotations
@@ -70,14 +61,10 @@ def resource_mii(body, machine=ITANIUM2):
 def recurrence_mii(body, edges):
     """RecMII: smallest II with no positive-weight cycle (binary search).
 
-    For a candidate II, edge weight = latency − distance·II; a positive
-    cycle means some recurrence needs more than II cycles per iteration.
-    Detection via Bellman–Ford on the negated graph.
+    Every cycle spans an iteration or more, so the sum of the positive
+    latencies bounds every cycle ratio and caps the search.
     """
-    low, high = 1, max(
-        (sum(e.latency for e in edges if e.src is e.dst) or 1), 1
-    )
-    high = max(high, critical_path(body, edges), 1)
+    low, high = 1, max(sum(e.latency for e in edges if e.latency > 0), 1)
     while low < high:
         mid = (low + high) // 2
         if has_positive_cycle(body, edges, mid):
@@ -89,36 +76,48 @@ def recurrence_mii(body, edges):
 
 def has_positive_cycle(body, edges, ii):
     """Bellman–Ford positive-cycle test at candidate II."""
-    distance = {instr: 0.0 for instr in body}
-    relevant = [
-        (e.src, e.dst, e.latency - e.distance * ii) for e in edges
-    ]
-    for _ in range(len(body)):
-        changed = False
-        for src, dst, weight in relevant:
-            if distance[src] + weight > distance[dst]:
-                distance[dst] = distance[src] + weight
-                changed = True
-        if not changed:
-            return False
-    # One more pass: still-improving means a positive cycle.
-    for src, dst, weight in relevant:
-        if distance[src] + weight > distance[dst]:
-            return True
-    return False
+    return start_windows(body, edges, ii, math.inf) is None
+
+
+def start_windows(body, edges, ii, horizon, lifetimes=False):
+    """``{instr: (earliest, latest)}`` start cycles at ``ii``, or None.
+
+    Longest paths over the arcs ``latency − distance·II`` from 0 give the
+    earliest starts; backward from ``horizon``, the latest.  ``lifetimes``
+    adds the reverse arc of each modulo-ILP lifetime row ``t_dst − t_src
+    ≤ horizon − distance·II``.  None (a positive cycle or an empty
+    window) proves that no schedule exists at this II.
+    """
+    members, arcs = set(body), []
+    for e in edges:
+        if e.src in members and e.dst in members:
+            arcs.append((e.src, e.dst, e.latency - e.distance * ii))
+            if lifetimes and e.latency > 0:
+                arcs.append((e.dst, e.src, e.distance * ii - horizon))
+    earliest = _longest_paths(body, arcs, 0)
+    latest = _longest_paths(body, [(d, s, w) for s, d, w in arcs], -horizon)
+    if earliest is None or latest is None:
+        return None
+    windows = {n: (earliest[n], -latest[n]) for n in body}
+    return None if any(a > b for a, b in windows.values()) else windows
 
 
 def critical_path(body, edges):
     """Longest distance-0 path (acyclic) in cycles."""
-    height = {instr: 1 for instr in body}
-    forward = [e for e in edges if e.distance == 0]
-    for _ in range(len(body)):
+    forward = [(e.src, e.dst, max(e.latency, 0)) for e in edges
+               if e.distance == 0]
+    return max((_longest_paths(body, forward, 1) or {}).values(), default=1)
+
+
+def _longest_paths(body, arcs, start):
+    """Bellman–Ford longest paths from ``start``; None on a positive cycle."""
+    bound = dict.fromkeys(body, start)
+    for _ in range(len(body) + 1):
         changed = False
-        for edge in forward:
-            want = height[edge.src] + max(edge.latency, 0)
-            if want > height.get(edge.dst, 0):
-                height[edge.dst] = want
+        for src, dst, weight in arcs:
+            if bound[src] + weight > bound[dst]:
+                bound[dst] = bound[src] + weight
                 changed = True
         if not changed:
-            break
-    return max(height.values(), default=1)
+            return bound
+    return None

@@ -14,7 +14,8 @@ The rungs, in degradation order:
    candidate II from MII upward the remaining ladder budget is split
    evenly over the remaining rungs, so an early II that is *almost*
    feasible cannot starve the rest of the climb; any backend solves the
-   model.
+   model.  A candidate whose start windows come out empty is recorded
+   ``INFEASIBLE`` (reason ``empty_window``) without a solve.
 2. **Time-indexed fallback** (:mod:`repro.sched.swp`): the previous
    formulation, kept as its own rung — a different relaxation
    occasionally finds a kernel the (row, stage)-bounded model rejects
@@ -245,6 +246,12 @@ def _ii_ladder(body, edges, mii, max_ii, max_stages, machine, backend,
             return None, None
         milp = ModuloIlp(body, edges, ii, machine=machine,
                          max_stages=max_stages)
+        if milp.windows is None:
+            # Some start window is empty: the dependence and lifetime
+            # rows alone rule this II out, so no solver is asked.
+            attempts.append({"ii": ii, "status": "INFEASIBLE", "reason":
+                             "empty_window", "seconds": 0.0, **milp.size})
+            continue
         with _span(trace, "swp.solve_ii", ii=ii) as span:
             solution = solve_model(
                 milp.model,

@@ -7,9 +7,10 @@ built on the same ILP substrate.
 
 Formulation (classic time-indexed modulo scheduling):
 
-* body instructions get binaries ``x[n,t]`` over ``t ∈ 0..T_max`` with
-  ``Σ_t x[n,t] = 1``; branch instructions are excluded (the kernel's
-  backedge branch recurs implicitly every II cycles);
+* body instructions get binaries ``x[n,t]`` with ``Σ_t x[n,t] = 1``,
+  ``t`` ranging over n's start window within ``0..T_max``; branch
+  instructions are excluded (the kernel's backedge branch recurs
+  implicitly every II cycles);
 * dependences carry an iteration *distance*: same-iteration edges from
   the in-block order, loop-carried edges (distance 1) from definitions
   reaching the next iteration and from carried anti/output pairs;
@@ -36,11 +37,15 @@ from dataclasses import dataclass
 from repro.errors import SchedulingError
 from repro.ilp import Model, lin_sum, solve_model
 from repro.machine.itanium2 import ITANIUM2
-from repro.machine.units import UnitKind
 from repro.sched.modulo.bounds import (
     critical_path as _critical_path,
     recurrence_mii,
     resource_mii as _resource_mii,
+    start_windows,
+)
+from repro.sched.modulo.formulation import (
+    add_dependence_rows,
+    add_reservation_rows,
 )
 
 
@@ -166,60 +171,34 @@ class ModuloScheduler:
         return _resource_mii(body, self.machine)
 
     def _try_ii(self, body, edges, ii):
-        """Build and solve the time-indexed model for one candidate II."""
-        horizon = ii + _critical_path(body, edges) + 1
+        """Build and solve the time-indexed model for one candidate II.
+
+        Each ``x[n,t]`` exists only inside n's start window over the
+        horizon ``ii + critical path``; an empty window proves the II
+        infeasible without a solve.
+        """
+        horizon = ii + _critical_path(body, edges)
+        windows = start_windows(body, edges, ii, horizon)
+        if windows is None:
+            return None
         model = Model(f"swp_ii{ii}")
-        x = {}
+        cells, start = {}, {}
+        slots = [[] for _ in range(ii)]
         for instr in body:
-            for t in range(horizon):
-                x[(instr, t)] = model.add_binary(f"x_{instr.uid}_{t}")
+            earliest, latest = windows[instr]
+            cells[instr] = [
+                (t, model.add_binary(f"x_{instr.uid}_{t}"))
+                for t in range(earliest, latest + 1)
+            ]
             model.add_constraint(
-                lin_sum(x[(instr, t)] for t in range(horizon)) == 1,
+                lin_sum(var for _t, var in cells[instr]) == 1,
                 name=f"assign_{instr.uid}",
             )
-
-        start = {
-            instr: lin_sum(
-                t * x[(instr, t)] for t in range(1, horizon)
-            )
-            for instr in body
-        }
-        for index, edge in enumerate(edges):
-            if edge.src not in start or edge.dst not in start:
-                continue
-            bound = edge.latency - edge.distance * ii
-            model.add_constraint(
-                start[edge.dst] - start[edge.src] >= bound,
-                name=f"dep_{index}",
-            )
-
-        ports = self.machine.ports
-        for slot in range(ii):
-            members = [
-                (instr, x[(instr, t)])
-                for instr in body
-                for t in range(slot, horizon, ii)
-            ]
-            total = lin_sum(
-                (2.0 if i.unit is UnitKind.L else 1.0) * v for i, v in members
-            )
-            model.add_constraint(
-                total <= ports.issue_width, name=f"width_{slot}"
-            )
-            self._unit_cap(model, members, (UnitKind.M,), ports.m_ports, slot, "m")
-            self._unit_cap(
-                model, members, (UnitKind.I, UnitKind.L), ports.i_ports, slot, "i"
-            )
-            self._unit_cap(model, members, (UnitKind.F,), ports.f_ports, slot, "f")
-            self._unit_cap(model, members, (UnitKind.B,), ports.b_ports, slot, "b")
-            self._unit_cap(
-                model,
-                members,
-                (UnitKind.A, UnitKind.M, UnitKind.I),
-                ports.m_ports + ports.i_ports,
-                slot,
-                "mi",
-            )
+            start[instr] = lin_sum(t * var for t, var in cells[instr] if t)
+            for t, var in cells[instr]:
+                slots[t % ii].append((instr, var))
+        add_dependence_rows(model, edges, ii, start, windows)
+        add_reservation_rows(model, slots, self.machine.ports)
 
         # Prefer flat schedules (fewer stages -> less prologue/epilogue).
         model.set_objective(lin_sum(start.values()))
@@ -229,25 +208,12 @@ class ModuloScheduler:
         if not solution:
             return None
         times = {
-            instr: int(
-                round(
-                    sum(
-                        t * solution.value_of(x[(instr, t)])
-                        for t in range(horizon)
-                    )
-                )
-            )
+            instr: int(round(sum(
+                t * solution.value_of(var) for t, var in cells[instr]
+            )))
             for instr in body
         }
         return times, solution.stats
-
-    @staticmethod
-    def _unit_cap(model, members, kinds, cap, slot, tag):
-        terms = [v for i, v in members if i.unit in kinds]
-        if len(terms) > cap:
-            model.add_constraint(
-                lin_sum(terms) <= cap, name=f"cap{tag}_{slot}"
-            )
 
 
 def build_modulo_edges(fn, loop, body, ddg):
@@ -260,6 +226,11 @@ def build_modulo_edges(fn, loop, body, ddg):
     iteration; symmetrically, that read constrains the definition as a
     carried anti dependence; carried memory and output pairs get
     conservative distance-1 ordering.
+
+    The result holds one edge per (src, dst, distance), in first-seen
+    order, carrying the largest latency: a duplicate or lower-latency
+    twin states a weaker dependence (and the same lifetime bound) and
+    would only add rows to every model built from it.
     """
     members = set(body)
     edges = []
@@ -306,9 +277,17 @@ def build_modulo_edges(fn, loop, body, ddg):
                 continue
             if position[op_a] > position[op_b] and must_order(op_a.mem, op_b.mem):
                 edges.append(ModuloEdge(op_a, op_b, 0, 1))
-    return edges
+
+    merged = {}
+    for edge in edges:
+        kept = merged.setdefault((edge.src, edge.dst, edge.distance), edge)
+        if edge.latency > kept.latency:
+            merged[(edge.src, edge.dst, edge.distance)] = edge
+    return list(merged.values())
 
 
-# recurrence_mii / _critical_path / _has_positive_cycle now live in
-# repro.sched.modulo.bounds (imported above): the MII theory is shared
-# verbatim between this time-indexed formulation and the modulo ILP.
+# recurrence_mii, critical_path and start_windows live in
+# repro.sched.modulo.bounds (imported above), and the dependence and
+# reservation rows in repro.sched.modulo.formulation: the MII theory and
+# the row families are shared verbatim between this time-indexed
+# formulation and the modulo ILP.
