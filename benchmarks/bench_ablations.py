@@ -6,8 +6,7 @@ Not a paper artifact, but the knobs the paper discusses qualitatively:
   k = 1") — how much head-room costs in model size and buys in quality;
 * the code-motion distance bound (our search-space compaction);
 * phase 2 (Sec. 5.5) — instruction-count cleanup cost;
-* solver backend — HiGHS vs the pure-Python branch-and-bound on a small
-  routine.
+* the solver alone — HiGHS on a small routine without phase 2.
 
 Run:  pytest benchmarks/bench_ablations.py --benchmark-only -q
 """
@@ -86,14 +85,11 @@ def test_baseline_strength(benchmark, baseline):
     assert result.static_reduction >= -1e-9
 
 
-@pytest.mark.parametrize("backend", ["highs", "bb"])
-def test_solver_backend(benchmark, backend):
-    # The pure-Python branch-and-bound is orders of magnitude slower than
-    # HiGHS (that is the point of the comparison) — keep the model small.
+def test_solver_backend(benchmark):
     fn = build_spec_routine("firstone", scale=0.4)
     result = benchmark.pedantic(
         lambda: optimize_function(
-            fn, _features(backend=backend, time_limit=60, two_phase=False)
+            fn, _features(time_limit=60, two_phase=False)
         ),
         rounds=1,
         iterations=1,

@@ -1,16 +1,11 @@
 #!/usr/bin/env python
-"""Solver performance harness — before/after numbers for the ILP stack.
+"""Solver performance harness — before/after numbers for the scheduler.
 
 Sections, each a dict in ``BENCH_solver.json`` at the repo root:
 
-* ``root_lp``       — presolve + root-relaxation cost on a scheduling
-  model, seed (git-history replica) vs current vectorized presolve;
-* ``bb_throughput`` — branch-and-bound nodes/second on a fixed MILP
-  batch, seed solver replica vs the rewritten lazy/warm-started solver;
 * ``sweep``         — end-to-end nine-routine Table 2 sweep, seed
-  configuration (sequential, HiGHS' stock heuristic effort) vs current
-  (tuned heuristic effort + process-pool fan-out). Both sides run
-  today's incremental cut loop; fan-out width = CPU count, so the
+  configuration (one worker) vs current (process-pool fan-out). Both
+  sides run today's scheduler; fan-out width = CPU count, so the
   measured ratio is hardware-dependent; ``workers`` records it.
 * ``obs_overhead``  — scheduler-path cost of the observability layer,
   recording off vs on;
@@ -22,9 +17,6 @@ Sections, each a dict in ``BENCH_solver.json`` at the repo root:
   RecMII) on >=80% of pipelined loops, every pipelined loop must pass
   the kernel-vs-unrolled oracle, and a ``swp.materialize`` chaos round
   must degrade down the ladder instead of raising.
-
-The seed baselines are materialized from the growth-seed commit via
-``git show`` so the comparison runs the *actual* old code, not a guess.
 
 Usage::
 
@@ -52,22 +44,14 @@ import argparse
 import json
 import os
 import pathlib
-import subprocess
 import sys
 import time
-import types
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-SEED_COMMIT = "5d1fe37"
 
 if str(REPO / "src") not in sys.path:
     sys.path.insert(0, str(REPO / "src"))
 
-import numpy as np  # noqa: E402
-
-from repro.ilp import Model  # noqa: E402
-from repro.ilp.branch_bound import BranchBoundSolver  # noqa: E402
-from repro.ilp.presolve import presolve_arrays  # noqa: E402
 from repro.sched.scheduler import ScheduleFeatures, optimize_function  # noqa: E402
 from repro.tools.experiments import default_features  # noqa: E402
 from repro.tools.parallel import run_routines_parallel  # noqa: E402
@@ -75,210 +59,28 @@ from repro.workloads.spec_routines import SPEC_ROUTINES  # noqa: E402
 
 ROUTINES = [spec.name for spec in SPEC_ROUTINES]
 
-# -- seed replica -----------------------------------------------------------
-def load_seed_solver():
-    """Exec the seed commit's presolve/simplex/branch-and-bound modules.
-
-    The blobs come straight from git history; only their intra-package
-    imports are rewired so they bind to each *other* instead of the
-    current (rewritten) modules. Returns the seed module dict or None
-    when git history is unavailable (e.g. a shallow export).
-    """
-
-    def blob(path):
-        return subprocess.check_output(
-            ["git", "show", f"{SEED_COMMIT}:{path}"], cwd=REPO, text=True
-        )
-
-    try:
-        sources = {
-            name: blob(f"src/repro/ilp/{name}.py")
-            for name in ("presolve", "simplex", "branch_bound")
-        }
-    except (subprocess.CalledProcessError, OSError):
-        return None
-    modules = {}
-    for name in ("presolve", "simplex", "branch_bound"):
-        text = sources[name]
-        text = text.replace(
-            "from repro.ilp.presolve import", "from _seed_presolve import"
-        )
-        text = text.replace(
-            "from repro.ilp.simplex import", "from _seed_simplex import"
-        )
-        module = types.ModuleType(f"_seed_{name}")
-        sys.modules[f"_seed_{name}"] = module
-        exec(compile(text, f"<seed:{name}.py>", "exec"), module.__dict__)
-        modules[name] = module
-    return modules
-
-
-# -- model builders ---------------------------------------------------------
-def build_sched_arrays(name, scale, max_hops=4):
-    """Matrix form of one routine's (featureless) scheduling model."""
-    from repro.ir.cfg import CfgInfo
-    from repro.ir.ddg import build_dependence_graph
-    from repro.ir.liveness import compute_liveness
-    from repro.ir.rename import rename_registers
-    from repro.machine.itanium2 import ITANIUM2
-    from repro.sched.cycles import lengths_from_input
-    from repro.sched.ilp_formulation import SchedulingIlp
-    from repro.sched.list_scheduler import ListScheduler
-    from repro.sched.prep import clone_function, undo_speculation
-    from repro.sched.regions import build_region
-    from repro.workloads.spec_routines import build_spec_routine
-
-    fn = build_spec_routine(name, scale=scale)
-    work = clone_function(fn)
-    undo_speculation(work)
-    rename_registers(work)
-    cfg = CfgInfo(work)
-    ddg = build_dependence_graph(work, cfg, compute_liveness(work))
-    schedule = ListScheduler().schedule(work, ddg)
-    region = build_region(work, cfg, ddg, max_hops=max_hops)
-    lengths = lengths_from_input(schedule, work)
-    model = SchedulingIlp(region, dict(lengths), ITANIUM2).generate()
-    return model.to_arrays()
-
-
-def knapsack_batch(smoke):
-    """Deterministic multi-knapsack MILPs that force real B&B searches."""
-    rng = np.random.default_rng(7)
-    models = []
-    count, items = (4, 14) if smoke else (6, 22)
-    for k in range(count):
-        model = Model(f"knap{k}")
-        xs = [model.add_var(f"x{i}", 0, 1, is_integer=True) for i in range(items)]
-        values = rng.integers(3, 60, items)
-        model.set_objective(sum(-int(v) * x for v, x in zip(values, xs)))
-        for row in range(3):
-            weights = rng.integers(1, 40, items)
-            cap = int(weights.sum() // 3)
-            model.add_constraint(
-                sum(int(w) * x for w, x in zip(weights, xs)) <= cap
-            )
-        models.append(model)
-    return models
-
-
 # -- sections ---------------------------------------------------------------
-def bench_root_lp(seed_modules, smoke):
-    """Presolve + root LP cost on one scheduling model."""
-    name = "get_heap_head" if smoke else "longest_match"
-    scale = 0.4 if smoke else 1.0
-    arrays = build_sched_arrays(name, scale)
-
-    t0 = time.perf_counter()
-    pre, infeasible = presolve_arrays(arrays)
-    current_presolve = time.perf_counter() - t0
-    assert not infeasible
-
-    seed_presolve = None
-    if seed_modules is not None:
-        t0 = time.perf_counter()
-        seed_pre, seed_infeasible = seed_modules["presolve"].presolve_arrays(arrays)
-        seed_presolve = time.perf_counter() - t0
-        assert not seed_infeasible
-        fixed_match = int(np.sum(np.isclose(pre["lb"], pre["ub"]))) >= int(
-            np.sum(np.isclose(seed_pre["lb"], seed_pre["ub"]))
-        )
-    else:
-        fixed_match = None
-
-    from scipy import optimize
-
-    t0 = time.perf_counter()
-    res = optimize.milp(
-        arrays["c"],
-        constraints=optimize.LinearConstraint(
-            arrays["A"], arrays["b_lo"], arrays["b_hi"]
-        ),
-        bounds=optimize.Bounds(pre["lb"], pre["ub"]),
-    )
-    root_lp = time.perf_counter() - t0
-    return {
-        "model": name,
-        "scale": scale,
-        "rows": int(arrays["A"].shape[0]),
-        "cols": int(arrays["A"].shape[1]),
-        "presolve_seconds_seed": seed_presolve,
-        "presolve_seconds_current": current_presolve,
-        "presolve_speedup": (
-            seed_presolve / current_presolve if seed_presolve else None
-        ),
-        "presolve_at_least_as_tight": fixed_match,
-        "root_lp_seconds": root_lp,
-        "root_lp_status": int(res.status),
-    }
-
-
-def bench_bb_throughput(seed_modules, smoke):
-    """Nodes/second over the knapsack batch, seed vs current solver."""
-    models = knapsack_batch(smoke)
-
-    def run(solver_factory):
-        nodes = 0
-        elapsed = 0.0
-        objectives = []
-        for model in models:
-            solver = solver_factory()
-            t0 = time.perf_counter()
-            solution = solver.solve(model)
-            elapsed += time.perf_counter() - t0
-            nodes += solution.stats.nodes
-            objectives.append(round(solution.objective, 6))
-        return nodes, elapsed, objectives
-
-    cur_nodes, cur_time, cur_obj = run(lambda: BranchBoundSolver())
-    out = {
-        "models": len(models),
-        "current_nodes": cur_nodes,
-        "current_seconds": cur_time,
-        "current_nodes_per_sec": cur_nodes / cur_time if cur_time else None,
-    }
-    if seed_modules is not None:
-        seed_cls = seed_modules["branch_bound"].BranchBoundSolver
-        seed_nodes, seed_time, seed_obj = run(lambda: seed_cls())
-        out.update(
-            seed_nodes=seed_nodes,
-            seed_seconds=seed_time,
-            seed_nodes_per_sec=seed_nodes / seed_time if seed_time else None,
-            objectives_match=seed_obj == cur_obj,
-            batch_time_speedup=seed_time / cur_time if cur_time else None,
-        )
-    # Warm-start share on the simplex engine (same batch, own LP engine).
-    warm_solver = BranchBoundSolver(relaxation="simplex")
-    warm = sum(warm_solver.solve(m).stats.warm_starts for m in models)
-    out["simplex_warm_starts"] = int(warm)
-    return out
-
-
 def bench_sweep(smoke):
     """End-to-end nine-routine Table 2 sweep, seed config vs current.
 
-    The seed side is one worker with HiGHS' stock heuristic effort (the
-    seed never set it); it runs today's incremental cut loop and phase-2
-    model reuse, which are the only paths left. ``speedup`` therefore
-    measures heuristic effort plus process-pool fan-out, not the cut
-    loop.
+    The seed side is one worker; the current side fans the routines out
+    over a process pool. Both run today's scheduler with the same
+    features, so ``speedup`` measures the fan-out alone.
     """
     scale = 0.25 if smoke else 0.5
     time_limit = 20 if smoke else 60
     workers = os.cpu_count() or 1
 
-    seed_features = default_features(
-        time_limit=time_limit, heuristic_effort=None
-    )
+    features = default_features(time_limit=time_limit)
     t0 = time.perf_counter()
     seed_out = run_routines_parallel(
-        ROUTINES, features=seed_features, scale=scale, max_workers=1
+        ROUTINES, features=features, scale=scale, max_workers=1
     )
     seed_total = time.perf_counter() - t0
 
-    cur_features = default_features(time_limit=time_limit)
     t0 = time.perf_counter()
     cur_out = run_routines_parallel(
-        ROUTINES, features=cur_features, scale=scale, max_workers=workers
+        ROUTINES, features=features, scale=scale, max_workers=workers
     )
     cur_total = time.perf_counter() - t0
 
@@ -582,15 +384,12 @@ def main(argv=None):
     )
     parser.add_argument(
         "--sections",
-        default="root_lp,bb_throughput,sweep,obs_overhead,decompose,swp",
+        default="sweep,obs_overhead,decompose,swp",
         help="comma list of sections to run",
     )
     args = parser.parse_args(argv)
     sections = set(args.sections.split(","))
-    known = {
-        "root_lp", "bb_throughput", "sweep", "obs_overhead", "decompose",
-        "swp",
-    }
+    known = {"sweep", "obs_overhead", "decompose", "swp"}
     unknown = sections - known
     if unknown:
         parser.error(
@@ -599,17 +398,7 @@ def main(argv=None):
         )
     mode = "smoke" if args.smoke else "full"
 
-    seed_modules = load_seed_solver()
-    if seed_modules is None:
-        print("note: git history unavailable; seed baselines skipped")
-
     report = {}
-    if "root_lp" in sections:
-        report["root_lp"] = bench_root_lp(seed_modules, args.smoke)
-        print(f"root_lp: {json.dumps(report['root_lp'], indent=2)}")
-    if "bb_throughput" in sections:
-        report["bb_throughput"] = bench_bb_throughput(seed_modules, args.smoke)
-        print(f"bb_throughput: {json.dumps(report['bb_throughput'], indent=2)}")
     if "sweep" in sections:
         report["sweep"] = bench_sweep(args.smoke)
         summary = {
@@ -656,7 +445,6 @@ def main(argv=None):
         return 0
 
     merged = json.loads(out_path.read_text()) if out_path.exists() else {}
-    merged["seed_commit"] = SEED_COMMIT
     existing = merged.get(mode, {})
     existing.update(report)
     merged[mode] = existing

@@ -4,8 +4,9 @@ Processors with ILP-based Scheduling" (CGO 2004).
 The package is organised as a stack of subsystems:
 
 ``repro.ilp``
-    A self-contained integer linear programming substrate (modeling layer,
-    revised simplex, branch-and-bound, and a HiGHS backend through scipy).
+    The integer linear programming substrate: a modeling layer whose
+    models one general solver, HiGHS through scipy, solves (as CPLEX did
+    in the paper).
 ``repro.machine``
     The Itanium 2 machine model: opcodes, functional units, dispersal
     rules and bundle templates.

@@ -1,9 +1,9 @@
-"""MILP backend over ``scipy.optimize.milp`` (HiGHS branch-and-cut).
+"""The MILP solver: ``scipy.optimize.milp`` (HiGHS branch-and-cut).
 
-This is the production backend: it hands the matrix form of a
-:class:`~repro.ilp.model.Model` to HiGHS and translates the result back
-into the shared :class:`~repro.ilp.status.Solution` type, including the
-node count that feeds the Table 2 reproduction.
+Every model the scheduler builds is solved here: the matrix form of a
+:class:`~repro.ilp.model.Model` goes to HiGHS and the result comes back
+as a :class:`~repro.ilp.status.Solution`, including the node count that
+feeds the Table 2 reproduction.
 """
 
 from __future__ import annotations
@@ -47,27 +47,21 @@ class HighsSolver:
         Relative optimality tolerance. The paper grants CPLEX *no*
         tolerance ("only a 100% optimal result is accepted"), so the
         default is 0.
-    heuristic_effort:
-        HiGHS ``mip_heuristic_effort`` (default 0.5, HiGHS' own default
-        is 0.05). On HiGHS 1.12 (scipy 1.17) it does not pay: the smoke
-        ``sweep`` of ``benchmarks/bench_solver.py`` (nine Table 2
-        routines, scale 0.25) summed 12.9 s of per-routine solve time at
-        0.05 and 13.2 s at 0.5, with identical optima. It stays as the
-        ``heuristic_effort`` wire override and as the bench's seed
-        reference (``None`` keeps the HiGHS default).
     """
 
-    def __init__(
-        self,
-        time_limit=None,
-        node_limit=None,
-        mip_rel_gap=0.0,
-        heuristic_effort=0.5,
-    ):
+    #: HiGHS ``mip_heuristic_effort`` for every solve (HiGHS' own default
+    #: is 0.05). On HiGHS 1.12 (scipy 1.17) it does not pay: the smoke
+    #: ``sweep`` of ``benchmarks/bench_solver.py`` (nine Table 2 routines,
+    #: scale 0.25) summed 12.9 s of per-routine solve time at 0.05 and
+    #: 13.2 s at 0.5, with identical optima. It stays at 0.5 so schedules
+    #: and cache entries stay what they were; moving to the HiGHS default
+    #: is a change to measure on its own.
+    HEURISTIC_EFFORT = 0.5
+
+    def __init__(self, time_limit=None, node_limit=None, mip_rel_gap=0.0):
         self.time_limit = time_limit
         self.node_limit = node_limit
         self.mip_rel_gap = mip_rel_gap
-        self.heuristic_effort = heuristic_effort
 
     def solve(self, model, incumbent=None, cutoff=None, fault_site=None):
         """Solve ``model``; see :func:`repro.ilp.solve_model` for the API.
@@ -77,8 +71,7 @@ class HighsSolver:
         honoured post-hoc: a failed/timed-out solve falls back to the
         (validated) ``incumbent`` as a FEASIBLE answer instead of
         NO_SOLUTION, and any result not strictly better than ``cutoff`` is
-        reported as NO_SOLUTION — matching the branch-and-bound backend's
-        semantics so callers can treat backends interchangeably.
+        reported as NO_SOLUTION.
 
         ``fault_site`` names this solve for deterministic fault injection
         (:mod:`repro.tools.faults`); an injected ``timeout`` reproduces
@@ -118,9 +111,9 @@ class HighsSolver:
                 span.set_attr("nodes", solution.stats.nodes)
                 if solution.stats.gap is not None:
                     span.set_attr("gap", solution.stats.gap)
-            # scipy's milp offers no basis injection, so "warm start" for
-            # this backend means incumbent seeding (the cut loop's
-            # prev-optimum hand-off); record it as such.
+            # scipy's milp offers no basis injection, so "warm start" here
+            # means incumbent seeding (the cut loop's prev-optimum
+            # hand-off); record it as such.
             record_solve_metrics(solution.stats, seeded=incumbent is not None)
         if fault == "incumbent":
             return faults.demote_to_feasible(solution)
@@ -146,9 +139,8 @@ class HighsSolver:
             options["time_limit"] = float(self.time_limit)
         if self.node_limit is not None:
             options["node_limit"] = int(self.node_limit)
-        if self.heuristic_effort is not None:
-            # Forwarded verbatim to HiGHS (see the module's warning filter).
-            options["mip_heuristic_effort"] = float(self.heuristic_effort)
+        # Forwarded verbatim to HiGHS (see the module's warning filter).
+        options["mip_heuristic_effort"] = self.HEURISTIC_EFFORT
         result = optimize.milp(
             arrays["c"],
             constraints=constraints,
@@ -189,7 +181,7 @@ class HighsSolver:
         objective = float(result.fun)
         if cutoff is not None and objective >= cutoff - 1e-9:
             # Nothing strictly better than the cutoff exists (or was found
-            # in time); mirror BranchBoundSolver's contract.
+            # in time): report no solution, as the cutoff contract says.
             timeline.close(
                 elapsed,
                 incumbent=objective,

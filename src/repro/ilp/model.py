@@ -211,7 +211,7 @@ class Model:
 
     # -- matrix form -------------------------------------------------------
     def to_arrays(self):
-        """Convert to matrix form for the numeric backends.
+        """Convert to matrix form for the solver.
 
         Returns a dict with objective vector ``c`` (dense), constraint matrix
         ``A`` (CSR), row bound vectors ``b_lo``/``b_hi`` (so LE rows have
@@ -239,8 +239,8 @@ class Model:
             cache["matrix"] = sparse.vstack([cache["matrix"], delta], format="csr")
             cache["rows"] = rows
 
-        # Vectors are fresh or copied so callers may edit them (the presolve
-        # does); the CSR is shared and treated as immutable by every backend.
+        # Vectors are fresh or copied so callers may edit them; the CSR is
+        # shared and treated as immutable.
         return {
             "c": c,
             "A": cache["matrix"],

@@ -1,4 +1,4 @@
-"""Result types shared by all ILP/LP backends."""
+"""Result types of an ILP solve."""
 
 from __future__ import annotations
 
@@ -30,26 +30,14 @@ class SolverStats:
     """
 
     nodes: int = 0
-    lp_solves: int = 0
-    simplex_iterations: int = 0
     time_seconds: float = 0.0
     best_bound: float | None = None
     gap: float | None = None
     backend: str = ""
-    # Relaxations that hit an iteration/numerical limit and returned no
-    # verdict. Any nonzero count demotes a finished search from OPTIMAL to
-    # FEASIBLE: an undecided subtree may hide the true optimum, and
-    # silently pruning it (the pre-overhaul behaviour) could discard it.
-    unknown_lps: int = 0
-    # LP relaxations answered from a warm-started basis (simplex engine).
-    warm_starts: int = 0
     # Incumbent/best-bound convergence record
-    # (:class:`repro.obs.insight.GapTimeline`); both backends attach one
-    # and close it on every exit path, fault and deadline exits included.
+    # (:class:`repro.obs.insight.GapTimeline`); the solver attaches one
+    # and closes it on every exit path, fault and deadline exits included.
     gap_timeline: object = None
-    # Plain-data pseudocost-table snapshot (bb backend; top branching
-    # variables by history, see ``_Pseudocosts.snapshot``).
-    pseudocosts: object = None
 
 
 @dataclass
@@ -80,13 +68,11 @@ class Solution:
 def record_solve_metrics(stats, seeded=False):
     """Publish one solve's :class:`SolverStats` to :mod:`repro.obs`.
 
-    Called by every backend after a completed solve (both backends
-    already collect these numbers for Table 2, so telemetry costs one
-    guarded call per *solve*, nothing per node). ``seeded`` marks a
-    solve that started from a caller-provided incumbent — the
-    warm-start currency of the HiGHS backend, where scipy offers no
-    basis injection; the bb/simplex backend additionally reports true
-    basis reuse through ``stats.warm_starts``.
+    Called by the solver after a completed solve (it already collects
+    these numbers for Table 2, so telemetry costs one guarded call per
+    *solve*, nothing per node). ``seeded`` marks a solve that started
+    from a caller-provided incumbent — the only warm start HiGHS gets
+    through scipy, which offers no basis injection.
     """
     from repro.obs import core as obs
 
@@ -97,18 +83,6 @@ def record_solve_metrics(stats, seeded=False):
     obs.counter("bb_nodes_total", stats.nodes, backend=backend)
     obs.histogram("solve_nodes", stats.nodes, backend=backend)
     obs.histogram("solve_seconds", stats.time_seconds, backend=backend)
-    obs.counter("warm_start_hits_total", stats.warm_starts, backend=backend)
-    obs.counter(
-        "warm_start_misses_total",
-        max(0, stats.lp_solves - stats.warm_starts),
-        backend=backend,
-    )
-    if stats.simplex_iterations:
-        obs.counter(
-            "simplex_iterations_total",
-            stats.simplex_iterations,
-            backend=backend,
-        )
     if seeded:
         obs.counter("incumbent_seeded_solves_total", 1, backend=backend)
     if stats.gap is not None:

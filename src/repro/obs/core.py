@@ -515,7 +515,7 @@ class Trace:
         # paths when publishing per-routine metrics.
         self.counters = {}
         # Search telemetry (repro.obs.insight): one plain dict per ILP
-        # solve (gap timeline, pseudocosts), one per attributed bundling
+        # solve (status, nodes, gap timeline), one per attributed bundling
         # cut, and the routine's Table 1/2-shaped paper metrics. Plain
         # data so the trace pickles across the pool unchanged.
         self.solves = []

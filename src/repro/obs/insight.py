@@ -6,12 +6,12 @@ Sec. 4.2, and the Table 1/2 static metrics.  This module is the plain-data
 layer those diagnostics travel on:
 
 * :class:`GapTimeline` — an incumbent/best-bound convergence record
-  streamed by both backends.  Samples are monotone in the reported gap
-  (a branch-and-bound gap never widens; any apparent widening is clock
-  skew between incumbent and bound reads, so it is clamped) and the
-  timeline is *always closed* on every exit path — optimal, timeout,
-  deadline and injected-fault exits alike — so a dashboard can trust
-  ``closed`` as "the search really ended here".
+  the solver attaches to every solve.  Samples are monotone in the
+  reported gap (a branch-and-bound gap never widens; any apparent
+  widening is clock skew between incumbent and bound reads, so it is
+  clamped) and the timeline is *always closed* on every exit path —
+  optimal, timeout, deadline and injected-fault exits alike — so a
+  dashboard can trust ``closed`` as "the search really ended here".
 * :func:`solve_telemetry` — one solve's worth of search diagnostics as a
   picklable dict, appended to ``Trace.solves`` by the scheduler so it
   survives the process-pool fan-out with the result.
@@ -35,9 +35,7 @@ GAP_EPS = 1e-12
 def compute_gap(incumbent, bound):
     """Relative optimality gap, the branch-and-bound convention.
 
-    ``|incumbent - bound| / max(1, |incumbent|)`` — the same formula
-    ``BranchBoundSolver`` uses for ``SolverStats.gap``, so a timeline's
-    final sample and the stats field agree exactly.  ``None`` when either
+    ``|incumbent - bound| / max(1, |incumbent|)``.  ``None`` when either
     side is unknown.
     """
     if incumbent is None or bound is None:
@@ -142,32 +140,27 @@ def fault_timeline(status, incumbent=None, bound=None):
     return timeline
 
 
-def solve_telemetry(site, backend, solution):
+def solve_telemetry(site, solution):
     """One solve's search diagnostics as a picklable plain dict.
 
     ``site`` is the pipeline stage (``solve.phase1`` /
-    ``solve.cut_resolve`` / ``solve.phase2``), ``solution`` the backend's
+    ``solve.cut_resolve`` / ``solve.phase2``), ``solution`` the solver's
     :class:`~repro.ilp.status.Solution`.  The dict is what the scheduler
     appends to ``Trace.solves`` — keep it free of solver objects.
     """
     stats = solution.stats
     timeline = getattr(stats, "gap_timeline", None)
-    entry = {
+    return {
         "site": site,
-        "backend": backend,
+        "backend": stats.backend,
         "status": solution.status.name,
         "objective": solution.objective,
         "nodes": stats.nodes,
-        "lp_solves": stats.lp_solves,
         "time_seconds": stats.time_seconds,
         "best_bound": stats.best_bound,
         "gap": stats.gap,
         "gap_timeline": timeline.as_dict() if timeline is not None else None,
     }
-    pseudocosts = getattr(stats, "pseudocosts", None)
-    if pseudocosts:
-        entry["pseudocosts"] = pseudocosts
-    return entry
 
 
 def cut_effect(cut_index, members, prev_objective, solution, site):

@@ -26,7 +26,7 @@ DEFAULT_BUCKETS = (
 
 # Declared boundaries for the subsystem's known histograms.
 BUCKET_BOUNDS = {
-    # Wall-clock cost of a single backend solve.
+    # Wall-clock cost of a single solve.
     "solve_seconds": (
         0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
         120.0, 300.0,
@@ -74,12 +74,7 @@ BUCKET_BOUNDS = {
 METRIC_HELP = {
     "solves_total": "ILP solves started, by backend",
     "bb_nodes_total": "branch-and-bound nodes explored, by backend",
-    "simplex_iterations_total": "simplex pivots across all solves",
-    "warm_start_hits_total": "LP relaxations answered from a warm basis",
-    "warm_start_misses_total": "LP relaxations solved cold",
     "incumbent_seeded_solves_total": "solves seeded with a prior incumbent",
-    "presolve_calls_total": "presolve invocations (bb backend)",
-    "presolve_fixed_vars_total": "variables fixed by presolve",
     "phase2_solves_total": "phase-2 solves",
     "routine_fallback_total": "final quality tier per routine",
     "routine_nodes_total": "branch-and-bound nodes per routine",
@@ -97,7 +92,7 @@ METRIC_HELP = {
     "faults_fired_total": "injected faults that actually fired",
     "pool_rebuilds_total": "process pools rebuilt after a worker crash",
     "worker_retries_total": "routines retried in-process after pool failure",
-    "solve_seconds": "wall-clock cost of a single backend solve",
+    "solve_seconds": "wall-clock cost of a single solve",
     "solve_nodes": "branch-and-bound nodes explored by a single solve",
     "solve_gap": "final relative optimality gap of a solve",
     "deadline_fraction_consumed":

@@ -119,11 +119,7 @@ class StitchedSolution:
                 objective += sol.objective
                 has_objective = True
             stats.nodes += sol.stats.nodes
-            stats.lp_solves += sol.stats.lp_solves
-            stats.simplex_iterations += sol.stats.simplex_iterations
             stats.time_seconds += sol.stats.time_seconds
-            stats.unknown_lps += sol.stats.unknown_lps
-            stats.warm_starts += sol.stats.warm_starts
             stats.backend = sol.stats.backend or stats.backend
             if sol.stats.gap is not None:
                 gaps.append(sol.stats.gap)
@@ -321,8 +317,6 @@ def _build_partition(scheduler, work, spec, stub_freq):
         sub_cfg,
         sub_ddg,
         max_hops=features.max_hops,
-        freq_cap=features.freq_cap,
-        allow_predication=features.predication,
     )
     stub = spec.exit
     if stub is not None:

@@ -16,7 +16,7 @@ its ILP model; this package is the production version of that extension
     row = cycle mod II, stage), modulo reservation-table constraints,
     and a stage-count/register-pressure bound, with variables only
     inside the start windows — emitted as a standard
-    :class:`repro.ilp.Model`, so every backend solves it.
+    :class:`repro.ilp.Model`, solved by ``repro.ilp.solve_model``.
 ``repro.sched.modulo.ladder``
     The deadline-aware II search: MII upward with per-rung budget
     splits, §8-style degradation to the time-indexed ``swp``

@@ -44,7 +44,7 @@ The objective minimizes ``Σ t_n``: flat schedules first, which keeps
 the stage count — and therefore prologue/epilogue size — small.
 
 The model is a standard :class:`repro.ilp.Model`, so it solves through
-every existing backend.
+:func:`repro.ilp.solve_model` like every other model.
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ The rungs, in degradation order:
 1. **Modulo ILP** (:mod:`repro.sched.modulo.formulation`): for each
    candidate II from MII upward the remaining ladder budget is split
    evenly over the remaining rungs, so an early II that is *almost*
-   feasible cannot starve the rest of the climb; any backend solves the
-   model.  A candidate whose start windows come out empty is recorded
-   ``INFEASIBLE`` (reason ``empty_window``) without a solve.
+   feasible cannot starve the rest of the climb.  A candidate whose
+   start windows come out empty is recorded ``INFEASIBLE`` (reason
+   ``empty_window``) without a solve.
 2. **Time-indexed fallback** (:mod:`repro.sched.swp`): the previous
    formulation, kept as its own rung — a different relaxation
    occasionally finds a kernel the (row, stage)-bounded model rejects
@@ -112,12 +112,10 @@ def pipeline_loop(
     ddg,
     loop,
     machine=ITANIUM2,
-    backend="highs",
     deadline=None,
     max_ii=32,
     max_stages=4,
     time_limit=10.0,
-    solve_extra=None,
     features=None,
     store=None,
     oracle_seeds=(0, 1, 2),
@@ -128,11 +126,9 @@ def pipeline_loop(
     ``deadline`` is the routine's shared wall clock (the ladder only
     ever spends its *remaining* budget); ``time_limit`` additionally
     caps what this one loop may consume.  ``features`` + ``store``
-    enable the ``kind="loop"`` cache; both optional.  ``solve_extra``
-    passes backend kwargs (``heuristic_effort``) through to every solve.
+    enable the ``kind="loop"`` cache; both optional.
     """
     deadline = deadline if deadline is not None else Deadline(None)
-    extra = dict(solve_extra or {})
     outcome = LoopPipelineOutcome(loop_header=loop.header,
                                   status="unpipelined")
     started = deadline.elapsed()
@@ -181,8 +177,8 @@ def pipeline_loop(
     ladder_clock = Deadline(time_limit)
     with _span(trace, "swp.ladder", loop=loop.header, mii=mii):
         starts, stats = _ii_ladder(
-            body, edges, mii, max_ii, max_stages, machine, backend,
-            deadline, ladder_clock, extra, outcome, trace,
+            body, edges, mii, max_ii, max_stages, machine,
+            deadline, ladder_clock, outcome, trace,
         )
     if starts is not None:
         msched = _as_schedule(loop, body, starts, outcome, stats)
@@ -204,7 +200,7 @@ def pipeline_loop(
         if remaining is not None:
             budget = min(budget or remaining, remaining)
         fallback = ModuloScheduler(
-            machine=machine, backend=backend, time_limit=budget,
+            machine=machine, time_limit=budget,
             max_ii=max_ii,
         )
         try:
@@ -231,8 +227,8 @@ def pipeline_loop(
 
 
 # -- ladder internals ---------------------------------------------------------
-def _ii_ladder(body, edges, mii, max_ii, max_stages, machine, backend,
-               deadline, ladder_clock, extra, outcome, trace):
+def _ii_ladder(body, edges, mii, max_ii, max_stages, machine,
+               deadline, ladder_clock, outcome, trace):
     """Climb II from MII; returns (start_times, stats) or (None, None)."""
     rungs = [ii for ii in range(mii, max(max_ii, mii) + 1)]
     attempts = []
@@ -254,11 +250,7 @@ def _ii_ladder(body, edges, mii, max_ii, max_stages, machine, backend,
             continue
         with _span(trace, "swp.solve_ii", ii=ii) as span:
             solution = solve_model(
-                milp.model,
-                backend=backend,
-                deadline=deadline,
-                time_limit=budget,
-                **extra,
+                milp.model, deadline=deadline, time_limit=budget
             )
             if span is not None:
                 span.set_attr("status", solution.status.name)

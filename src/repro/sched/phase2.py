@@ -16,10 +16,8 @@ from repro.obs import core as obs
 def minimize_instruction_count(
     ilp,
     phase1_lengths,
-    backend="highs",
     incumbent=None,
     deadline=None,
-    solve_extra=None,
 ):
     """Run phase 2 on the phase-1 model; returns the solution, or
     ``None`` on failure.
@@ -29,7 +27,6 @@ def minimize_instruction_count(
     to its model and the objective swapped to Σx in place. The phase-1
     optimum is a feasible point of the pinned model, so callers pass it
     as ``incumbent`` to hand the solver an immediate upper bound.
-    ``solve_extra`` carries the backend-specific ``solve_model`` kwargs.
 
     ``deadline`` is the routine's shared wall-clock budget
     (:class:`repro.tools.deadline.Deadline`): phase 2 only gets whatever
@@ -52,11 +49,9 @@ def minimize_instruction_count(
         obs.counter("phase2_solves_total", 1)
     solution = solve_model(
         model,
-        backend=backend,
         incumbent=incumbent,
         deadline=deadline,
         fault_site="solve.phase2",
-        **(solve_extra or {}),
     )
     if obs.ENABLED:
         obs.event(

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import BundlingError, SchedulingError
-from repro.ilp import KNOWN_BACKENDS, SolveStatus, solve_model
+from repro.ilp import SolveStatus, solve_model
 from repro.obs import core as obs
 from repro.obs import insight
 from repro.ir.cfg import CfgInfo
@@ -125,17 +125,11 @@ class ScheduleFeatures:
     data_speculation: bool = True  # ld.a/chk.a groups (5.1/6.1)
     cyclic: bool = True  # cyclic code motion (5.2)
     partial_ready: bool = True  # partial-ready code motion (5.3)
-    predication: bool = True  # predication via code motion (Sec. 4)
     two_phase: bool = True  # instruction-count cleanup (5.5)
     baseline: str = "local"  # input-schedule heuristic: "local" | "greedy"
     verify: bool = True
-    backend: str = "highs"
     time_limit: float | None = 120.0
-    # Share of solve time HiGHS spends on primal heuristics (None = the
-    # HiGHS default). Ignored by the "bb" backend. See HighsSolver.
-    heuristic_effort: float | None = 0.5
     reserve: int = 1  # G_A head-room (Sec. 6.1, k)
-    freq_cap: float = 5.0  # speculation frequency factor (5.1)
     max_hops: int | None = None  # optional code-motion distance bound
     # Region decomposition (repro.sched.decompose): partition large
     # routines at legal cut blocks and solve one ILP per partition.
@@ -157,13 +151,6 @@ class ScheduleFeatures:
     swp_time_limit: float = 10.0  # per-loop ladder budget (seconds)
 
     def __post_init__(self):
-        # Fail at construction with the full menu, not deep inside
-        # _optimize_impl on an unknown string.
-        if self.backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                f"(expected one of {', '.join(KNOWN_BACKENDS)})"
-            )
         if self.swp_max_ii < 1:
             raise ValueError("swp_max_ii must be >= 1")
         if self.swp_max_stages < 1:
@@ -384,8 +371,6 @@ class IlpScheduler:
                 cfg,
                 ddg,
                 max_hops=features.max_hops,
-                freq_cap=features.freq_cap,
-                allow_predication=features.predication,
             )
 
         def schedule():
@@ -564,17 +549,14 @@ class IlpScheduler:
         features = self.features
         outcomes = []
         try:
-            solve_extra = _solve_extra(features)
             for loop in cfg.loops:
                 outcomes.append(pipeline_loop(
                     fn, cfg, ddg, loop,
                     machine=self.machine,
-                    backend=features.backend,
                     deadline=deadline,
                     max_ii=features.swp_max_ii,
                     max_stages=features.swp_max_stages,
                     time_limit=features.swp_time_limit,
-                    solve_extra=solve_extra,
                     features=features,
                     store=self.partition_store,
                     trace=trace,
@@ -689,7 +671,6 @@ class IlpScheduler:
         # Cut-effectiveness attribution: the objective before a cut was
         # appended, resolved against the next successful re-solve.
         pending_cut = None
-        solve_extra = _solve_extra(features)
         while True:
             site = "solve.cut_resolve" if bundle_retries else "solve.phase1"
             if deadline.expired:
@@ -708,14 +689,12 @@ class IlpScheduler:
                 "warm_start_hits" if prev_values is not None
                 else "warm_start_misses"
             )
-            with trace.span(site, backend=features.backend) as solve_span:
+            with trace.span(site) as solve_span:
                 solution = solve_model(
                     model,
-                    backend=features.backend,
                     deadline=deadline,
                     incumbent=prev_values,
                     fault_site=site,
-                    **solve_extra,
                 )
                 solve_span.set_attr("status", solution.status.name)
                 solve_span.set_attr("nodes", solution.stats.nodes)
@@ -724,9 +703,7 @@ class IlpScheduler:
                 timeline = solution.stats.gap_timeline
                 if timeline is not None and len(timeline):
                     solve_span.set_attr("gap_timeline", timeline.as_dict())
-            trace.solves.append(
-                insight.solve_telemetry(site, features.backend, solution)
-            )
+            trace.solves.append(insight.solve_telemetry(site, solution))
             if solution.status is SolveStatus.INFEASIBLE:
                 resize_attempts += 1
                 if resize_attempts > MAX_RESIZE_ATTEMPTS:
@@ -843,10 +820,8 @@ class IlpScheduler:
                 solution2 = minimize_instruction_count(
                     ilp,
                     phase1_lengths,
-                    backend=features.backend,
                     incumbent=solution.values,
                     deadline=deadline,
-                    solve_extra=solve_extra,
                 )
                 if solution2 is not None:
                     p2stats = solution2.stats
@@ -861,9 +836,7 @@ class IlpScheduler:
                         )
             if solution2 is not None:
                 trace.solves.append(
-                    insight.solve_telemetry(
-                        "solve.phase2", features.backend, solution2
-                    )
+                    insight.solve_telemetry("solve.phase2", solution2)
                 )
             if solution2 is None:
                 phase2_failure = FallbackReason(
@@ -994,13 +967,6 @@ class IlpScheduler:
         return build
 
 
-def _solve_extra(features):
-    """Backend-specific ``solve_model`` kwargs for one feature set."""
-    if features.backend == "highs":
-        return {"heuristic_effort": features.heuristic_effort}
-    return {}
-
-
 def apply_length_hint(lengths, hint):
     """Tighten initial cycle ranges toward a family near-miss's achieved
     block lengths.
@@ -1008,9 +974,13 @@ def apply_length_hint(lengths, hint):
     Applied only when the hint covers exactly the same block set — a
     sibling with different blocks says nothing about this routine.  Each
     hinted length only ever *shrinks* a range (``min``), so the model
-    never gets larger than the cold-start one; a hint that proves too
-    tight surfaces as INFEASIBLE and the growth ladder recovers.
-    Returns the tightened map, or ``None`` when the hint is unusable.
+    never gets larger than the cold-start one.  A hint that leaves no
+    feasible schedule surfaces as INFEASIBLE and the growth ladder
+    recovers; but a hint can also be too tight and still feasible: it
+    then cuts off the cold optimum, and the solve proves optimality only
+    within the shrunken ranges, so a longer schedule ships labeled
+    ``optimal``.  Returns the tightened map, or ``None`` when the hint
+    is unusable.
     """
     try:
         cleaned = {name: int(value) for name, value in hint.items()}

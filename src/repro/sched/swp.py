@@ -106,10 +106,8 @@ class ModuloSchedule:
 class ModuloScheduler:
     """Optimal modulo scheduling via the ILP substrate."""
 
-    def __init__(self, machine=ITANIUM2, backend="highs", time_limit=30.0,
-                 max_ii=64):
+    def __init__(self, machine=ITANIUM2, time_limit=30.0, max_ii=64):
         self.machine = machine
-        self.backend = backend
         self.time_limit = time_limit
         self.max_ii = max_ii
 
@@ -202,9 +200,7 @@ class ModuloScheduler:
 
         # Prefer flat schedules (fewer stages -> less prologue/epilogue).
         model.set_objective(lin_sum(start.values()))
-        solution = solve_model(
-            model, backend=self.backend, time_limit=self.time_limit
-        )
+        solution = solve_model(model, time_limit=self.time_limit)
         if not solution:
             return None
         times = {

@@ -308,7 +308,6 @@ def client_main(argv=None):
     parser.add_argument("--read-timeout", type=float, default=120.0)
     parser.add_argument("--time-limit", type=float, default=None,
                         help="per-request solver budget override")
-    parser.add_argument("--backend", choices=["highs", "bb"], default=None)
     parser.add_argument("--seed", type=int, default=None,
                         help="jitter RNG seed (deterministic backoff)")
     parser.add_argument("-o", "--output", default=None)
@@ -347,8 +346,6 @@ def client_main(argv=None):
     features = {}
     if args.time_limit is not None:
         features["time_limit"] = args.time_limit
-    if args.backend is not None:
-        features["backend"] = args.backend
 
     texts = []
     for path in args.inputs:

@@ -44,7 +44,6 @@ import os
 import sys
 import time
 
-from repro.ilp import KNOWN_BACKENDS
 from repro.ir.parser import parse_functions
 from repro.obs import core as obs
 from repro.obs.telemetry import percentiles
@@ -60,7 +59,6 @@ def _features_from_args(args):
         cyclic=not args.no_cyclic,
         partial_ready=not args.no_partial_ready,
         time_limit=args.time_limit,
-        backend=args.backend,
     )
 
 
@@ -108,9 +106,6 @@ def serve_main(argv=None):
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--rounds", type=int, default=1)
     parser.add_argument("--time-limit", type=float, default=120.0)
-    parser.add_argument(
-        "--backend", choices=KNOWN_BACKENDS, default="highs"
-    )
     parser.add_argument("--no-speculation", action="store_true")
     parser.add_argument("--no-cyclic", action="store_true")
     parser.add_argument("--no-partial-ready", action="store_true")
@@ -291,9 +286,6 @@ def cache_main(argv=None):
     p_warm.add_argument("dir")
     p_warm.add_argument("inputs", nargs="+")
     p_warm.add_argument("--time-limit", type=float, default=120.0)
-    p_warm.add_argument(
-        "--backend", choices=KNOWN_BACKENDS, default="highs"
-    )
     p_warm.add_argument("--no-speculation", action="store_true")
     p_warm.add_argument("--no-cyclic", action="store_true")
     p_warm.add_argument("--no-partial-ready", action="store_true")

@@ -24,7 +24,8 @@ existing entry wholesale without touching the store).
 
 The **family** fingerprint is deliberately coarser: it drops latency
 overrides, immediates, and profile numbers, and ignores solver-only
-feature knobs (time limits, backend, heuristic effort).
+feature knobs (time limits, verification, the decomposition and SWP
+budgets).
 Requests in one family are *near misses* of each other — close enough
 that a cached sibling's achieved block lengths seed the cycle ranges of
 a fresh solve (:mod:`repro.serve.service`), but not interchangeable as
@@ -49,7 +50,9 @@ from repro.ir.registers import Register
 # serve-5: seven ScheduleFeatures knobs no caller set were removed (the
 # rebuild-per-cut path, the alternative phase-2 objectives, the
 # speculation cost model, collapse and rollback switches, retry budgets).
-CODE_VERSION = "serve-5"
+# serve-6: HiGHS became the only solver; backend, heuristic_effort,
+# predication and freq_cap left ScheduleFeatures.
+CODE_VERSION = "serve-6"
 
 # ScheduleFeatures fields that steer the *solver*, not the model: two
 # requests differing only here want the same schedule, so they share a
@@ -57,8 +60,6 @@ CODE_VERSION = "serve-5"
 # answer is actually reached, e.g. optimal vs incumbent).
 SOLVER_ONLY_FEATURES = frozenset({
     "time_limit",
-    "heuristic_effort",
-    "backend",
     "verify",
     # Decomposition partitions the *search*, aiming at the same schedule:
     # family hints (achieved block lengths) transfer across the switch.

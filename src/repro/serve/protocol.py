@@ -77,11 +77,9 @@ _PREFIX = struct.Struct(">4sII")  # magic, header_len, payload_len
 # daemon's choice so one replica serves one coherent cache keyspace.
 WIRE_FEATURES = (
     "time_limit",
-    "backend",
     "speculation",
     "cyclic",
     "partial_ready",
-    "heuristic_effort",
     "max_hops",
 )
 
@@ -278,12 +276,7 @@ def features_from_wire(base, overrides, deadline_budget=None):
     unknown = set(overrides) - set(WIRE_FEATURES)
     if unknown:
         raise ProtocolError(f"unknown feature override(s): {sorted(unknown)}")
-    try:
-        features = replace(base, **overrides) if overrides else base
-    except ValueError as exc:
-        # ScheduleFeatures validates eagerly (unknown backend); a bad
-        # client knob is a protocol error, not a crash.
-        raise ProtocolError(f"invalid feature override: {exc}") from exc
+    features = replace(base, **overrides) if overrides else base
     return apply_deadline(features, deadline_budget)
 
 

@@ -52,8 +52,6 @@ CONFIG_KEYS = {
 # search-order luck); micro-sections with sub-second timings get even
 # more because their absolute floors do the real work.
 SECTION_REL = {
-    "root_lp": 1.0,
-    "bb_throughput": 0.75,
     "sweep": 1.0,
     "obs_overhead": 0.10,
     # Serving benchmarks (BENCH_serve.json): the gated signals are the

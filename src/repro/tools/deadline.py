@@ -9,7 +9,7 @@ budget: it is created once at the top of
 ``ScheduleFeatures.time_limit`` and handed down through the bundling-cut
 loop, :func:`repro.sched.phase2.minimize_instruction_count` and
 :func:`repro.ilp.solve_model`, which converts :meth:`remaining` into the
-backend ``time_limit`` for each individual solve.
+solver's ``time_limit`` for each individual solve.
 
 A ``Deadline`` with ``budget=None`` never expires; every ``remaining()``
 call then returns ``None`` and solves run unlimited, which keeps the

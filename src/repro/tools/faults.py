@@ -323,7 +323,7 @@ def fire(site):
     """Kind of the fault firing at ``site`` right now, or ``None``.
 
     ``site=None`` (a solve with no site attached, e.g. unit tests
-    calling backends directly) never fires. Fired faults are counted as
+    calling the solver directly) never fires. Fired faults are counted as
     ``faults_fired_total{site,kind}`` when observability is enabled.
     """
     if site is None:
@@ -342,7 +342,7 @@ def reset_env_cache():
     _env_plans.clear()
 
 
-# -- solution mangling (used by the solver backends) -------------------------
+# -- solution mangling (used by the solver) ----------------------------------
 
 
 def demote_to_feasible(solution):

@@ -9,7 +9,6 @@ Usage::
 
     tia-opt INPUT.tia [-o OUTPUT.tia] [--no-speculation] [--no-cyclic]
             [--no-partial-ready] [--time-limit S]
-            [--backend highs|bb]
             [--cache DIR] [--schedule] [--bundles]
             [--trace TRACE.json] [--metrics METRICS.json|.prom]
             [--events EVENTS.jsonl] [--html DASHBOARD.html]
@@ -29,7 +28,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.ilp import KNOWN_BACKENDS
 from repro.ir.parser import parse_functions
 from repro.ir.printer import format_function, format_schedule
 from repro.sched.scheduler import ScheduleFeatures, optimize_function
@@ -174,9 +172,6 @@ def main(argv=None):
     )
     parser.add_argument("--time-limit", type=float, default=120.0)
     parser.add_argument(
-        "--backend", choices=KNOWN_BACKENDS, default="highs"
-    )
-    parser.add_argument(
         "--cache",
         metavar="DIR",
         default=None,
@@ -241,7 +236,6 @@ def main(argv=None):
         decompose=not args.no_decompose,
         max_hops=args.max_hops,
         time_limit=args.time_limit,
-        backend=args.backend,
     )
     if args.decompose_min is not None:
         features = replace(

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.ilp import BranchBoundSolver, HighsSolver, Model, SolveStatus
+from repro.ilp import HighsSolver, Model, SolveStatus
 from repro.obs.insight import GapTimeline, compute_gap, fault_timeline
 from repro.tools import faults
 
@@ -19,10 +19,10 @@ def _knapsack():
 
 
 def _branchy():
-    """A model that needs a real tree search.
+    """A model whose root LP relaxation is fractional.
 
     Max-weight stable set on three odd 5-cycles: the root LP relaxation
-    is fractional (all 0.5), so branch-and-bound must actually branch.
+    is all 0.5, so the solver has to cut or branch.
     """
     model = Model("branchy")
     weights = [3, 4, 5, 4, 3]
@@ -83,7 +83,7 @@ def test_fault_timeline_is_closed_with_two_samples():
 
 
 # -- solver exit paths --------------------------------------------------------
-@pytest.mark.parametrize("solver_cls", [BranchBoundSolver, HighsSolver])
+@pytest.mark.parametrize("solver_cls", [HighsSolver])
 def test_optimal_exit_closes_timeline(solver_cls):
     solution = solver_cls().solve(_knapsack())
     assert solution.status is SolveStatus.OPTIMAL
@@ -95,18 +95,7 @@ def test_optimal_exit_closes_timeline(solver_cls):
     _assert_monotone(timeline.as_dict())
 
 
-def test_bb_tree_search_samples_incumbents():
-    solution = BranchBoundSolver().solve(_branchy())
-    timeline = solution.stats.gap_timeline
-    assert timeline.closed
-    labels = [s.get("label") for s in timeline.samples]
-    assert "root" in labels and "close" in labels
-    _assert_monotone(timeline.as_dict())
-    # The pseudocost snapshot rides the same stats object.
-    assert isinstance(solution.stats.pseudocosts, list)
-
-
-@pytest.mark.parametrize("solver_cls", [BranchBoundSolver, HighsSolver])
+@pytest.mark.parametrize("solver_cls", [HighsSolver])
 def test_infeasible_exit_closes_timeline(solver_cls):
     model = Model()
     z = model.add_binary("z")
@@ -118,14 +107,16 @@ def test_infeasible_exit_closes_timeline(solver_cls):
     assert timeline.status == "INFEASIBLE"
 
 
-def test_bb_timeout_exit_closes_timeline():
-    solution = BranchBoundSolver(time_limit=0.0).solve(_branchy())
+def test_timeout_exit_closes_timeline():
+    # A zero time limit stops HiGHS before it finds any point.
+    solution = HighsSolver(time_limit=0.0).solve(_branchy())
+    assert solution.status is SolveStatus.NO_SOLUTION
     timeline = solution.stats.gap_timeline
     assert timeline is not None and timeline.closed
     assert timeline.status == solution.status.name
 
 
-@pytest.mark.parametrize("solver_cls", [BranchBoundSolver, HighsSolver])
+@pytest.mark.parametrize("solver_cls", [HighsSolver])
 def test_injected_timeout_fault_closes_timeline(solver_cls):
     with faults.inject("solve.phase1=timeout:1"):
         solution = solver_cls().solve(
@@ -137,7 +128,7 @@ def test_injected_timeout_fault_closes_timeline(solver_cls):
     assert len(timeline) >= 2
 
 
-@pytest.mark.parametrize("solver_cls", [BranchBoundSolver, HighsSolver])
+@pytest.mark.parametrize("solver_cls", [HighsSolver])
 def test_injected_infeasible_fault_closes_timeline(solver_cls):
     with faults.inject("solve.phase1=infeasible:1"):
         solution = solver_cls().solve(
@@ -148,7 +139,7 @@ def test_injected_infeasible_fault_closes_timeline(solver_cls):
 
 
 def test_timeline_pickles_with_stats():
-    solution = BranchBoundSolver().solve(_branchy())
+    solution = HighsSolver().solve(_branchy())
     blob = pickle.dumps(solution.stats)
     stats = pickle.loads(blob)
     assert stats.gap_timeline.closed

@@ -1,4 +1,4 @@
-"""HiGHS backend behaviour."""
+"""HiGHS solver behaviour."""
 
 import os
 import subprocess
@@ -72,7 +72,7 @@ errors = []
 def solve_many():
     try:
         for _ in range(400):
-            HighsSolver(heuristic_effort=0.5).solve(model)
+            HighsSolver().solve(model)
     except Exception as exc:
         errors.append(exc)
 

@@ -118,8 +118,7 @@ SCRIPT = "COMBO = " + repr(COMBO) + textwrap.dedent(
         cfg = CfgInfo(work)
         ddg = build_dependence_graph(work, cfg, compute_liveness(work))
         region = build_region(work, cfg, ddg, max_hops=features.max_hops,
-                              freq_cap=features.freq_cap,
-                              allow_predication=features.predication)
+                              freq_cap=5.0, allow_predication=True)
         schedule = ListScheduler(ITANIUM2).schedule(work, ddg)
         lengths = lengths_from_input(schedule, work, reserve=features.reserve)
         ilp, _ = IlpScheduler(features=features)._ilp_factory(

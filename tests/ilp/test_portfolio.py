@@ -1,7 +1,7 @@
-"""The solver menu is ``highs | bb``: the removed portfolio racer stays gone.
+"""HiGHS is the only solver: ``solve_model`` takes no solver name.
 
-``solve_model`` must reject ``backend="portfolio"`` and any unknown name
-with the menu in the message, never by falling back to another backend.
+The removed portfolio racer and the removed pure-Python branch-and-bound
+stay gone: naming any backend is an error, never a silent fallback.
 """
 
 import pytest
@@ -10,7 +10,7 @@ from repro.ilp import Model, solve_model
 
 
 def _knapsack():
-    """A small integral MILP both backends solve to proven optimality."""
+    """A small integral MILP HiGHS solves to proven optimality."""
     model = Model()
     items = [(10, 5), (8, 4), (6, 3), (4, 2), (11, 6)]
     take = [
@@ -26,6 +26,6 @@ def _knapsack():
 
 
 def test_solve_model_rejects_unknown_backend():
-    for backend in ("gurobi", "portfolio"):
-        with pytest.raises(ValueError, match=r"expected one of highs, bb\)"):
+    for backend in ("highs", "bb", "gurobi", "portfolio"):
+        with pytest.raises(TypeError, match="backend"):
             solve_model(_knapsack(), backend=backend)

@@ -1,16 +1,22 @@
-"""Property-based cross-checks between the solver backends."""
+"""Property-based optimality check of the solver against brute force.
 
-import numpy as np
+The random models have at most five binaries, so every one of the 2^n
+points can be enumerated in the test: the enumeration decides
+feasibility and the optimum on its own, independently of HiGHS.
+"""
+
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.ilp import BranchBoundSolver, HighsSolver, Model, SimplexSolver
-from scipy import optimize
+from repro.ilp import HighsSolver, Model, SolveStatus
 
 
 @st.composite
 def small_milp(draw):
-    """A random small MILP with bounded binaries (always feasible at 0)."""
+    """A random small MILP over binaries; negative right-hand sides make
+    some draws infeasible."""
     n = draw(st.integers(2, 5))
     m = draw(st.integers(1, 4))
     coeffs = draw(
@@ -20,7 +26,7 @@ def small_milp(draw):
             max_size=m,
         )
     )
-    rhs = draw(st.lists(st.integers(0, 8), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(-6, 8), min_size=m, max_size=m))
     obj = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
     return n, coeffs, rhs, obj
 
@@ -34,46 +40,43 @@ def _build(n, coeffs, rhs, obj):
     return model, xs
 
 
+def _brute_force(n, coeffs, rhs, obj):
+    """Optimal objective over all 2^n points, or ``None`` if none is
+    feasible."""
+    best = None
+    for point in itertools.product((0, 1), repeat=n):
+        feasible = all(
+            sum(c * x for c, x in zip(row, point)) <= b
+            for row, b in zip(coeffs, rhs)
+        )
+        if feasible:
+            value = sum(c * x for c, x in zip(obj, point))
+            best = value if best is None else min(best, value)
+    return best
+
+
 @given(small_milp())
-@settings(max_examples=40, deadline=None)
-def test_branch_bound_matches_highs(problem):
+@example((2, [[1, 1]], [-1], [1, 1]))  # no binary point: INFEASIBLE
+@settings(max_examples=80, deadline=None)
+def test_highs_matches_brute_force(problem):
     model, _ = _build(*problem)
-    ours = BranchBoundSolver().solve(model)
-    model2, _ = _build(*problem)
-    ref = HighsSolver().solve(model2)
-    assert ours.status.has_solution and ref.status.has_solution
-    assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
+    solution = HighsSolver().solve(model)
+    best = _brute_force(*problem)
+    if best is None:
+        assert solution.status is SolveStatus.INFEASIBLE
+    else:
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == pytest.approx(best, abs=1e-6)
 
 
 @given(small_milp())
 @settings(max_examples=40, deadline=None)
 def test_incumbent_satisfies_all_constraints(problem):
     model, xs = _build(*problem)
-    solution = BranchBoundSolver().solve(model)
+    solution = HighsSolver().solve(model)
+    if not solution:
+        assert _brute_force(*problem) is None
+        return
     assignment = {x: solution.value_of(x) for x in xs}
     assert model.check_solution(assignment) == []
     assert all(solution.value_of(x) in (0, 1) for x in xs)
-
-
-@given(
-    st.integers(0, 2**31 - 1),
-    st.integers(2, 6),
-    st.integers(1, 5),
-)
-@settings(max_examples=30, deadline=None)
-def test_simplex_matches_scipy_on_random_lps(seed, n, m):
-    rng = np.random.default_rng(seed)
-    a_mat = rng.integers(-3, 4, size=(m, n)).astype(float)
-    b = rng.uniform(0.5, 6.0, size=m)
-    c = rng.integers(-3, 4, size=n).astype(float)
-
-    model = Model()
-    xs = [model.add_var(f"x{i}", lb=0, ub=5) for i in range(n)]
-    for i in range(m):
-        model.add_constraint(sum(a_mat[i, j] * xs[j] for j in range(n)) <= b[i])
-    model.set_objective(sum(c[j] * xs[j] for j in range(n)))
-
-    ours = SimplexSolver().solve(model)
-    ref = optimize.linprog(c, A_ub=a_mat, b_ub=b, bounds=[(0, 5)] * n, method="highs")
-    assert ours.status == "optimal" and ref.success
-    assert ours.objective == pytest.approx(ref.fun, abs=1e-6)

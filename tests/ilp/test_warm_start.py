@@ -1,218 +1,77 @@
-"""Warm-started re-solves, incumbent/cutoff seeding, and node accounting.
+"""Incumbent and cutoff seeding of a solve.
 
-The branch-and-bound rewrite leans on three contracts that must hold on
-every model the suite uses:
+scipy's ``milp`` cannot hand HiGHS a start point or an objective cutoff,
+so ``HighsSolver`` honours both after the solve. Three contracts must
+hold on every model:
 
-* a warm-started simplex re-solve (parent basis, child bounds) reaches
-  the same optimum a cold solve reaches;
-* incumbent/cutoff seeding never changes the reported optimum, only the
-  work needed to prove it;
-* relaxations that return no verdict ("unknown") demote the result from
-  OPTIMAL instead of being silently pruned.
+* seeding with the known optimum never changes the reported optimum;
+* a cutoff at the optimum means nothing strictly better exists, which
+  is reported as NO_SOLUTION;
+* a solve that stops on a limit without a point falls back to a
+  caller's incumbent as FEASIBLE, but only when that incumbent is
+  feasible.
 """
 
 import numpy as np
 import pytest
 
-from repro.ilp import (
-    BranchBoundSolver,
-    Model,
-    SimplexSolver,
-    SolveStatus,
-    solve_model,
-)
+from repro.ilp import HighsSolver, Model, SolveStatus, solve_model
 
 
-def _lp(obj, constraints, bounds, integer=False):
-    model = Model()
-    variables = [
-        model.add_var(f"x{i}", lb=lo, ub=hi, is_integer=integer)
-        for i, (lo, hi) in enumerate(bounds)
-    ]
-    for coeffs, sense, rhs in constraints:
-        expr = sum(c * v for c, v in zip(coeffs, variables))
-        if sense == "<=":
-            model.add_constraint(expr <= rhs)
-        elif sense == ">=":
-            model.add_constraint(expr >= rhs)
-        else:
-            model.add_constraint(expr == rhs)
-    model.set_objective(sum(c * v for c, v in zip(obj, variables)))
-    return model, variables
-
-
-def _suite_lps():
-    """The representative LP shapes used across the tests/ilp files."""
-    yield _lp(
-        [-1, -2], [([1, 1], "<=", 4), ([1, 3], "<=", 6)], [(0, None), (0, None)]
-    )[0]
-    yield _lp(
-        [1, 0], [([1, 1], "=", 5), ([1, -1], ">=", -3)], [(None, None), (0, 10)]
-    )[0]
-    yield _lp(
-        [-1, -1],
-        [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 1], "<=", 2)],
-        [(0, None), (0, None)],
-    )[0]
-    yield _lp([-1, -1], [([1, 1], "<=", 10)], [(0, 2), (0, 3)])[0]
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        n, m = 5, 4
-        a_mat = rng.normal(size=(m, n))
-        b = rng.uniform(1, 5, size=m)
-        c = rng.normal(size=n)
-        yield _lp(
-            c.tolist(),
-            [(a_mat[i].tolist(), "<=", b[i]) for i in range(m)],
-            [(0, 10)] * n,
-        )[0]
-
-
-@pytest.mark.parametrize("index", range(8))
-def test_warm_restart_matches_cold_after_bound_change(index):
-    """Parent-basis warm solve == cold solve on tightened child bounds."""
-    model = list(_suite_lps())[index]
-    solver = SimplexSolver()
-    arrays = model.to_arrays()
-    parent = solver.solve_arrays(arrays)
-    assert parent.status == "optimal" and parent.basis is not None
-
-    # Tighten each variable's upper bound in turn (a branching step).
-    for j in range(len(arrays["lb"])):
-        child = dict(arrays)
-        ub = arrays["ub"].copy()
-        hi = ub[j] if np.isfinite(ub[j]) else 4.0
-        ub[j] = max(arrays["lb"][j], 0.5 * hi)
-        child["ub"] = ub
-        warm = solver.solve_arrays(child, warm_basis=parent.basis)
-        cold = solver.solve_arrays(child)
-        assert warm.status == cold.status
-        if cold.status == "optimal":
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_bb_backends_and_seeding_agree(seed):
-    """simplex-engine B&B == scipy-engine B&B == HiGHS, seeded or not."""
+def _knapsack(seed):
     rng = np.random.default_rng(seed)
     n = 10
     weights = rng.integers(1, 12, n)
     values = rng.integers(1, 20, n)
-    model, xs = _lp(
-        [-int(v) for v in values],
-        [([int(w) for w in weights], "<=", int(weights.sum() // 2))],
-        [(0, 1)] * n,
-        integer=True,
+    model = Model()
+    xs = [model.add_var(f"x{i}", lb=0, ub=1, is_integer=True) for i in range(n)]
+    model.add_constraint(
+        sum(int(w) * x for w, x in zip(weights, xs)) <= int(weights.sum() // 2)
     )
-    reference = solve_model(model, backend="highs")
+    model.set_objective(sum(-int(v) * x for v, x in zip(values, xs)))
+    return model, xs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_highs_seeding_and_cutoff_agree(seed):
+    model, _ = _knapsack(seed)
+    reference = solve_model(model)
     assert reference.status is SolveStatus.OPTIMAL
 
-    for relaxation in ("scipy", "simplex"):
-        sol = BranchBoundSolver(relaxation=relaxation).solve(model)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(reference.objective)
-
     # Seeding with the known optimum keeps the optimum.
-    seeded = BranchBoundSolver().solve(model, incumbent=reference.values)
+    seeded = solve_model(model, incumbent=reference.values)
     assert seeded.status is SolveStatus.OPTIMAL
     assert seeded.objective == pytest.approx(reference.objective)
 
     # A cutoff at the optimum means nothing strictly better exists.
-    cut = BranchBoundSolver().solve(model, cutoff=reference.objective)
+    cut = solve_model(model, cutoff=reference.objective)
     assert cut.status is SolveStatus.NO_SOLUTION
 
-    # The simplex engine actually exercises the warm path on real trees.
-    warm_sol = BranchBoundSolver(relaxation="simplex").solve(model)
-    if warm_sol.stats.nodes > 1:
-        assert warm_sol.stats.warm_starts > 0
+    # A cutoff above the optimum keeps it.
+    loose = solve_model(model, cutoff=reference.objective + 1)
+    assert loose.status is SolveStatus.OPTIMAL
+    assert loose.objective == pytest.approx(reference.objective)
 
 
-def test_node_accounting_counts_every_explored_node():
-    """Every popped-and-solved node counts once — including integral ones."""
-    rng = np.random.default_rng(3)
-    n = 12
-    weights = rng.integers(2, 9, n)
-    values = rng.integers(1, 30, n)
-    model, _ = _lp(
-        [-int(v) for v in values],
-        [([int(w) for w in weights], "<=", int(weights.sum() // 3))],
-        [(0, 1)] * n,
-        integer=True,
+def test_limit_without_a_point_falls_back_to_the_incumbent():
+    model, xs = _knapsack(0)
+    # A zero time limit stops HiGHS before it finds any point.
+    assert HighsSolver(time_limit=0.0).solve(model).status is (
+        SolveStatus.NO_SOLUTION
     )
-    sol = BranchBoundSolver(rounding_heuristic=False).solve(model)
-    assert sol.status is SolveStatus.OPTIMAL
-    # The root is node 0; every other LP solved is a node.
-    assert sol.stats.lp_solves == sol.stats.nodes + 1
-    assert sol.stats.nodes > 0
+    point = {x: 0.0 for x in xs}
+    point[xs[0]] = 1.0
+    fallback = HighsSolver(time_limit=0.0).solve(model, incumbent=point)
+    assert fallback.status is SolveStatus.FEASIBLE
+    assert fallback.objective == pytest.approx(model.objective.value(point))
+    assert [fallback.value_of(x) for x in xs] == [int(point[x]) for x in xs]
+    timeline = fallback.stats.gap_timeline
+    assert timeline.closed and timeline.status == "FEASIBLE"
 
 
-def test_unknown_relaxation_demotes_optimality(monkeypatch):
-    """A no-verdict LP must not be silently pruned as infeasible."""
-    from repro.ilp import branch_bound as bb
-
-    rng = np.random.default_rng(3)
-    n = 12
-    weights = rng.integers(2, 9, n)
-    values = rng.integers(1, 30, n)
-    model, _ = _lp(
-        [-int(v) for v in values],
-        [([int(w) for w in weights], "<=", int(weights.sum() // 3))],
-        [(0, 1)] * n,
-        integer=True,
-    )
-    # Sanity: this model branches (see the node-accounting test above).
-    real_linprog = bb.optimize.linprog
-    calls = {"n": 0}
-
-    def flaky_linprog(*args, **kwargs):
-        calls["n"] += 1
-        result = real_linprog(*args, **kwargs)
-        if calls["n"] == 2:  # first child node: pretend numerical failure
-            result.status = 4
-            result.success = False
-        return result
-
-    monkeypatch.setattr(bb.optimize, "linprog", flaky_linprog)
-    sol = BranchBoundSolver(rounding_heuristic=False).solve(model)
-    assert sol.stats.unknown_lps >= 1
-    # With an undecided subtree the search may still find the incumbent,
-    # but it must not claim a proof.
-    assert sol.status is not SolveStatus.OPTIMAL
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_rounding_never_returns_infeasible_incumbent(seed):
-    """_try_rounding only ever proposes verified-feasible points."""
-    from repro.ilp.branch_bound import _Relaxation
-    from repro.ilp.presolve import presolve_arrays
-
-    rng = np.random.default_rng(seed)
-    n, m = 8, 5
-    a_mat = rng.integers(-4, 9, size=(m, n))
-    b = rng.integers(4, 30, size=m)
-    c = rng.normal(size=n)
-    model, _ = _lp(
-        c.tolist(),
-        [(a_mat[i].tolist(), "<=", int(b[i])) for i in range(m)],
-        [(0, 3)] * n,
-        integer=True,
-    )
-    arrays, infeasible = presolve_arrays(model.to_arrays())
-    if infeasible:
-        pytest.skip("presolve already proved infeasibility")
-    oracle = _Relaxation(arrays)
-    status, _obj, x, _basis = oracle.solve(arrays["lb"], arrays["ub"])
-    if status != "optimal":
-        pytest.skip(f"root relaxation {status}")
-    solver = BranchBoundSolver()
-    int_idx = np.where(arrays["integrality"])[0]
-    rounded = solver._try_rounding(oracle, x, int_idx)
-    if rounded is not None:
-        candidate, obj = rounded
-        assert oracle.check_point(candidate)
-        assert np.all(candidate >= arrays["lb"] - 1e-9)
-        assert np.all(candidate <= arrays["ub"] + 1e-9)
-        assert np.allclose(
-            candidate[int_idx], np.round(candidate[int_idx]), atol=1e-9
-        )
-        assert obj == pytest.approx(float(np.dot(arrays["c"], candidate)))
+def test_infeasible_incumbent_is_not_returned():
+    model, xs = _knapsack(0)
+    everything = {x: 1.0 for x in xs}  # breaks the capacity row
+    solution = HighsSolver(time_limit=0.0).solve(model, incumbent=everything)
+    assert solution.status is SolveStatus.NO_SOLUTION
+    assert solution.values == {}

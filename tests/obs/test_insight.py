@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.ilp import BranchBoundSolver, Model, SolveStatus
+from repro.ilp import HighsSolver, Model
 from repro.ir.parser import parse_function
 from repro.obs import insight
 from repro.sched.scheduler import ScheduleFeatures, optimize_function
@@ -39,14 +39,14 @@ def _solve():
     a, b = model.add_binary("a"), model.add_binary("b")
     model.add_constraint(a + b <= 1)
     model.set_objective(-(2 * a + b))
-    return BranchBoundSolver().solve(model)
+    return HighsSolver().solve(model)
 
 
 def test_solve_telemetry_is_plain_picklable_data():
     solution = _solve()
-    entry = insight.solve_telemetry("solve.phase1", "bb", solution)
+    entry = insight.solve_telemetry("solve.phase1", solution)
     assert entry["site"] == "solve.phase1"
-    assert entry["backend"] == "bb"
+    assert entry["backend"] == "highs"
     assert entry["status"] == "OPTIMAL"
     assert entry["gap"] == pytest.approx(0.0)
     assert entry["gap_timeline"]["closed"]

@@ -57,19 +57,6 @@ def test_recording_captures_solver_spans_and_metrics(recording, diamond_fn):
     assert export.validate_chrome_trace(export.chrome_trace()) == []
 
 
-def test_bb_backend_records_presolve_and_simplex_telemetry(recording, diamond_fn):
-    features = ScheduleFeatures(backend="bb", time_limit=30)
-    result = IlpScheduler(features=features).optimize(diamond_fn)
-    assert result.quality == "optimal"
-    names = {e["name"] for e in obs.recorder().events}
-    assert "presolve" in names
-    dump = export.metrics_dict()
-    assert dump["counters"]["presolve_calls_total"] >= 1
-    assert any(
-        k.startswith("simplex_iterations_total") for k in dump["counters"]
-    )
-
-
 def test_degraded_routine_still_reports_tier_and_trace(recording, diamond_fn):
     # An injected phase-1 timeout with no incumbent degrades the routine
     # to its input schedule (solve sites ignore the "error" kind).

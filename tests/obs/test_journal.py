@@ -51,7 +51,7 @@ class TestRoundtrip:
             request_id="req-1",
             family="fam",
             routines=[{"routine": "r", "kind": "miss", "quality": "optimal"}],
-            features={"backend": "highs"},
+            features={"time_limit": 30.0},
             timings={"queue_wait": 0.01, "solve": 0.5, "total": 0.6},
             cache_kinds={"miss": 1},
             replica="sock:1",

@@ -35,8 +35,8 @@ def _region(fn, features=FEATURES):
         cfg,
         ddg,
         max_hops=features.max_hops,
-        freq_cap=features.freq_cap,
-        allow_predication=features.predication,
+        freq_cap=5.0,
+        allow_predication=True,
     )
 
 

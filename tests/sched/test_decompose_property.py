@@ -64,7 +64,7 @@ def test_unpartitionable_routine_identical_to_decompose_off(seed):
     cfg = CfgInfo(fn)
     ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
     region = build_region(
-        fn, cfg, ddg, max_hops=FEATURES.max_hops, freq_cap=FEATURES.freq_cap
+        fn, cfg, ddg, max_hops=FEATURES.max_hops, freq_cap=5.0
     )
     features_on = ScheduleFeatures(
         time_limit=60, max_hops=4, decompose_min_instructions=1

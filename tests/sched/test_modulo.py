@@ -138,7 +138,7 @@ def test_modulo_ilp_respects_rows_and_dependences():
     _fn, _cfg, _ddg, _loop, body, edges = _loop_parts(COUNTED_LOOP)
     mii = max(resource_mii(body, ITANIUM2), recurrence_mii(body, edges), 1)
     ilp = ModuloIlp(body, edges, mii, machine=ITANIUM2, max_stages=4)
-    solution = solve_model(ilp.model, backend="highs", time_limit=20.0)
+    solution = solve_model(ilp.model, time_limit=20.0)
     assert solution, solution.status
     starts = ilp.start_times(solution)
     assert set(starts) == set(body)
@@ -183,7 +183,7 @@ def test_modulo_ilp_infeasible_below_recurrence_bound():
     rec = recurrence_mii(body, edges)
     assert rec >= 2
     ilp = ModuloIlp(body, edges, rec - 1, machine=ITANIUM2, max_stages=4)
-    solution = solve_model(ilp.model, backend="highs", time_limit=20.0)
+    solution = solve_model(ilp.model, time_limit=20.0)
     assert not solution
 
 

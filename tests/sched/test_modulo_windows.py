@@ -116,7 +116,7 @@ def _count_solves(monkeypatch, module):
 
 def _solve(milp, objective=OBJECTIVES["earliest_first"]):
     milp.model.set_objective(objective(milp))
-    return solve_model(milp.model, backend="highs", time_limit=60.0)
+    return solve_model(milp.model, time_limit=60.0)
 
 
 @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
@@ -196,8 +196,8 @@ def test_ladder_rejects_ii_below_recurrence_without_a_solve(monkeypatch):
     solved = _count_solves(monkeypatch, ladder)
     outcome = ladder.LoopPipelineOutcome(loop.header, "unpipelined")
     starts, _stats = ladder._ii_ladder(
-        body, edges, rec - 1, rec, 4, ITANIUM2, "highs", Deadline(None),
-        Deadline(30.0), {}, outcome, None,
+        body, edges, rec - 1, rec, 4, ITANIUM2, Deadline(None),
+        Deadline(30.0), outcome, None,
     )
     assert starts is not None and outcome.ii == rec
     first, second = outcome.detail["rungs"]

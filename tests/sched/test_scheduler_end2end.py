@@ -50,21 +50,6 @@ def test_input_function_not_mutated():
     assert format_function(fn) == before
 
 
-def test_bb_backend_matches_highs_objective():
-    from tests.conftest import STRAIGHT_TEXT
-
-    fn = parse_function(STRAIGHT_TEXT)
-    highs = optimize_function(
-        fn, ScheduleFeatures(time_limit=30, two_phase=False)
-    )
-    bb = optimize_function(
-        fn, ScheduleFeatures(time_limit=60, backend="bb", two_phase=False)
-    )
-    assert highs.ilp_size["objective"] == pytest.approx(
-        bb.ilp_size["objective"]
-    )
-
-
 @pytest.mark.parametrize("seed", [7, 23])
 def test_generated_routines_verify(seed):
     spec = RoutineSpec(
@@ -81,14 +66,6 @@ def test_feature_baseline_config():
     assert not features.speculation
     assert not features.cyclic
     assert not features.partial_ready
-
-
-def test_unknown_backend_rejected_with_menu():
-    for bad in ("cplex", "portfolio"):
-        with pytest.raises(ValueError) as err:
-            ScheduleFeatures(backend=bad)
-        # The message names every accepted backend, not just the bad one.
-        assert "expected one of highs, bb)" in str(err.value)
 
 
 def test_removed_feature_fields_are_gone():
@@ -113,10 +90,14 @@ def test_removed_feature_fields_are_gone():
         ("rollback_on_verify_failure", False),
         ("max_resize_attempts", 3),
         ("max_bundle_retries", 4),
+        ("backend", "highs"),
+        ("heuristic_effort", 0.5),
+        ("predication", True),
+        ("freq_cap", 5.0),
     ],
 )
 def test_unset_knobs_are_removed(name, value):
-    """Knobs no caller set are gone, not silently accepted."""
+    """Removed knobs are gone, not silently accepted."""
     with pytest.raises(TypeError):
         ScheduleFeatures(**{name: value})
 

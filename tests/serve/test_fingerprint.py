@@ -305,14 +305,14 @@ GOLDEN = [
     (
         generate_routine,
         RoutineSpec(name="g0", seed=0, instructions=12, blocks=3),
-        "2abe4c6fd37400606822d4a132c7428f85a9116f5603c95364ca1433e421b351",
-        "b304f8ff1d213cdfb0df115aa3cf2d31957b29bb3b5348096c10ef768303e01f",
+        "fbec91004681f226d3728bbd9a37e726959f5a3e6e75fdfbd9561e45d286b9a3",
+        "8f23eaa9a8033f841fbebf492bba4ccaaebc54ca07505b7937e6a79d5140a0f6",
     ),
     (
         generate_routine,
         RoutineSpec(name="g1", seed=1),
-        "707a9c58f170023270f78baf050ba108e12a6ae942424ddb611a2b87a5dde720",
-        "a4e56c46e2d10649b4ac3702bac89bd4a2b8214af5bd4c570fef11478ef90107",
+        "2512952d474374e4ab9ff8168c0521c16902faa7d7173a7803d6a287de5157eb",
+        "290f8d2ccebd6649eff21a4b397f884636929b1146822234615b20e56c1c9187",
     ),
     (
         generate_routine,
@@ -320,20 +320,20 @@ GOLDEN = [
             name="g2", seed=2, instructions=40, blocks=6, loops=2,
             input_spec_loads=2,
         ),
-        "68b4dee8de3a7381c0a4987348cda6002c40fa3694e293f3f5b93ae64254188e",
-        "0f2450f0c6c21f3c16c68cdd26a1d195780df464db90ae1b30b59d33b4ad3d42",
+        "63107f14f2b7b2791c3deae0d0990b7e8809e053f21f369f8daf158118c3baae",
+        "432e903bd565c1d2458e1d976b431e6b6e8080f86c5dfea44b106cb8fe581873",
     ),
     (
         generate_routine,
         RoutineSpec(name="g3", seed=3, instructions=150, blocks=16),
-        "d8f9aeb3203cd4edfe7b4200772d125e44caebc860c138ddc9aaf79ed4132190",
-        "fad52c7d56920fd65c85a09305ed4d61607a135eba7b840ff01a331567b021ef",
+        "55cf90504e6d0bf7a3b32d13303920cad5acebc518204370117f4800bfc51d17",
+        "8767524e7fd49680a410e7e2a624315af2e6d1c8d84de77adefd77e6a43fc697",
     ),
     (
         generate_loop_dominated,
         LoopDominatedSpec(name="g4", seed=4),
-        "ab6b8e5e093af8e96ed514de2729458bd44ec3d7e1d3d528f69e13a84c30ea8a",
-        "f2647c315d2808dadba49513923d9c04b6bf3b337b52e1cc836491c4655a3aba",
+        "519857ddffff33ba3e163415f13c066fc83c91d426e61db06c48569b3a203cf6",
+        "c7419f64cbb782e38abfe8bd3be7d6fd7677191c268e60f176da67b9f0e32622",
     ),
     (
         generate_multi_region,
@@ -341,8 +341,8 @@ GOLDEN = [
             name="g5", seed=5, segments=3, segment_instructions=14,
             segment_blocks=5,
         ),
-        "918c57fb4e762f4794b16d7d506f732d8335af98364712e71f2aae9331d46ee2",
-        "3a0c0296a0b4c68cddb0c41836d1d7d02e5f9a1ff9f1c775495d6914e0fce61c",
+        "8087b87b2480ceb0b63cc4b52301a8233816995f20e233a30414113011903709",
+        "40e2636efdb6e007d866bb4cd05591bcff7ac289dd09ef34a238211709fe1987",
     ),
 ]
 

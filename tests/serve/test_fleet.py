@@ -117,9 +117,11 @@ def test_bad_payload_gets_typed_error_and_does_not_count(tmp_path):
 
 
 def test_removed_portfolio_knobs_get_typed_error(tmp_path):
-    """A client still asking for the solver race gets a typed ``error``
-    reply per request (never a silent highs answer), and the daemon
-    keeps serving."""
+    """A client still asking for the solver race, or still naming a
+    solver (``backend``, even ``highs``) or tuning it
+    (``heuristic_effort``), gets a typed ``error`` reply per request
+    that names the unknown override (never a silent highs answer), and
+    the daemon keeps serving."""
     daemon = _daemon(tmp_path, workers=1, max_requests=1)
     thread, box = _run(daemon)
     payload = STRAIGHT_TEXT.encode("utf-8")
@@ -128,17 +130,20 @@ def test_removed_portfolio_knobs_get_typed_error(tmp_path):
         {"portfolio_backends": ["highs", "bb"]},
         {"portfolio_seed": 1},
         {"portfolio_threads": 2},
+        {"backend": "highs"},
+        {"heuristic_effort": 0.5},
     ):
         header = {"op": "solve", "id": "old", "features": overrides}
         reply, _ = _roundtrip(daemon.path, header, payload)
         assert reply["status"] == "error"
         assert reply["id"] == "old"
-        assert "portfolio" in reply["error"]
+        (name,) = overrides
+        assert f"unknown feature override(s): ['{name}']" in reply["error"]
     good, _ = _solve(daemon.path)
     thread.join(30)
     assert good["status"] == "ok"
     assert box["counters"]["completed"] == 1
-    assert box["counters"]["rejected"] >= 4
+    assert box["counters"]["rejected"] >= 6
 
 
 def test_garbage_bytes_get_protocol_error(tmp_path):

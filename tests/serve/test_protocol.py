@@ -137,9 +137,9 @@ def test_features_from_wire_tightens_never_widens():
     kept = protocol.features_from_wire(base, {}, deadline_budget=60.0)
     assert kept.time_limit == 10.0  # the daemon's ceiling holds
     overridden = protocol.features_from_wire(
-        base, {"backend": "bb", "time_limit": 4.0}
+        base, {"speculation": False, "time_limit": 4.0}
     )
-    assert overridden.backend == "bb"
+    assert not overridden.speculation
     assert overridden.time_limit == 4.0
     with pytest.raises(protocol.ProtocolError):
         protocol.features_from_wire(base, {"verify": False})
@@ -167,25 +167,28 @@ def test_large_frame_in_chunks():
 
 
 def test_features_from_wire_validates_backend():
-    """A bad or removed backend override surfaces as a typed protocol
-    error (the daemon replies with it), not a server-side ValueError."""
+    """HiGHS is the only solver: any ``backend`` override, even
+    ``highs``, is an unknown override and a typed protocol error that
+    names it (the daemon replies with it), never a server-side crash."""
     from repro.sched.scheduler import ScheduleFeatures
 
     base = ScheduleFeatures()
-    assert protocol.features_from_wire(base, {"backend": "bb"}).backend == "bb"
-    for bad in ("cplex", "portfolio"):
-        with pytest.raises(protocol.ProtocolError, match=bad):
-            protocol.features_from_wire(base, {"backend": bad})
+    for value in ("highs", "bb", "cplex", "portfolio"):
+        with pytest.raises(protocol.ProtocolError, match="backend"):
+            protocol.features_from_wire(base, {"backend": value})
 
 
 def test_removed_portfolio_overrides_rejected():
-    """The race's wire knobs are unknown overrides now, on both sides."""
+    """Removed wire knobs (the race's and the solver switch with its
+    tuning) are unknown overrides now, on both sides."""
     from repro.sched.scheduler import ScheduleFeatures
 
     for name, value in (
         ("portfolio_backends", ["highs", "bb"]),
         ("portfolio_seed", 3),
         ("portfolio_threads", 1),
+        ("backend", "bb"),
+        ("heuristic_effort", 0.5),
     ):
         with pytest.raises(protocol.ProtocolError, match=name):
             protocol.features_from_wire(ScheduleFeatures(), {name: value})
