@@ -277,8 +277,8 @@ def bench_swp(smoke):
     ``mii_achieved_80pct`` (II = max(ResMII, RecMII) on >= 80% of
     pipelined loops — the paper-style optimality headline),
     ``oracle_all_passed`` (every pipelined loop proven by execution),
-    and ``chaos_degraded`` (a ``swp.materialize`` fault round demotes
-    outcomes down the ladder; nothing raises).  ``mean_overlap_speedup``
+    and ``chaos_degraded`` (a ``swp.materialize`` fault round lands the
+    loop unpipelined; nothing raises).  ``mean_overlap_speedup``
     is critical path / II averaged over pipelined loops — the
     steady-state win of overlapping iterations against the serial
     dependence height.
@@ -288,7 +288,7 @@ def bench_swp(smoke):
     from repro.ir.liveness import compute_liveness
     from repro.sched.modulo.bounds import critical_path
     from repro.sched.modulo.ladder import pipeline_loop
-    from repro.sched.swp import ModuloScheduler, build_modulo_edges
+    from repro.sched.swp import build_modulo_edges, loop_body
     from repro.tools import faults
     from repro.workloads.generator import loop_dominated_family
 
@@ -329,16 +329,16 @@ def bench_swp(smoke):
                 at_mii += 1
             if not (outcome.oracle and outcome.oracle.ok):
                 oracle_all_passed = False
-            body = ModuloScheduler._body_instructions(fn, loop)
+            body = loop_body(fn, loop)
             edges = build_modulo_edges(fn, loop, body, ddg)
             overlap = critical_path(body, edges) / outcome.ii
             overlaps.append(overlap)
             row["overlap_speedup"] = overlap
         per_loop[spec.name] = row
 
-    # Chaos round: one materialization fault must demote the first loop
-    # down the ladder (modulo kernel discarded -> time-indexed rung); a
-    # persistent fault must land it unpipelined. Raising fails the run.
+    # Chaos round: one materialization fault discards the first loop's
+    # modulo kernel, and with no rung below the ILP it lands unpipelined;
+    # a persistent fault must too. Raising fails the run.
     _spec, fn = family[0]
     cfg, ddg, loop = analyzed(fn)
     with faults.inject("swp.materialize=error:1"):
@@ -346,7 +346,7 @@ def bench_swp(smoke):
     with faults.inject("swp.materialize=error"):
         floored = pipeline_loop(fn, cfg, ddg, loop, time_limit=time_limit)
     chaos_degraded = (
-        demoted.status in ("fallback_swp", "unpipelined")
+        demoted.status == "unpipelined"
         and floored.status == "unpipelined"
     )
 

@@ -4,7 +4,7 @@ Run:  python examples/software_pipelining.py
 
 Section 8 closes with "currently we are studying ... how [the model] can
 be modified to support software pipelining". This example runs the
-repository's ILP-based modulo scheduler on the Fig. 5 loop and compares
+repository's modulo ILP on the Fig. 5 loop and compares
 three treatments of the same loop body:
 
 * plain global scheduling         (body length without cyclic motion),
@@ -18,8 +18,19 @@ from repro.ir.cfg import CfgInfo
 from repro.ir.ddg import build_dependence_graph
 from repro.ir.liveness import compute_liveness
 from repro.sched.scheduler import ScheduleFeatures
-from repro.sched.swp import ModuloScheduler
+from repro.sched.modulo import modulo_schedule
+from repro.sched.swp import build_modulo_edges, loop_body
 from repro.workloads.samples import fig5_cyclic_sample
+
+
+def schedule(fn):
+    """Analyze ``fn`` and modulo-schedule its (single) loop."""
+    cfg = CfgInfo(fn)
+    ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
+    loop = cfg.loops[0]
+    body = loop_body(fn, loop)
+    edges = build_modulo_edges(fn, loop, body, ddg)
+    return cfg, ddg, loop, modulo_schedule(loop, body, edges)
 
 
 def main():
@@ -32,10 +43,7 @@ def main():
         parse_function(text), ScheduleFeatures(time_limit=45)
     )
 
-    fn = parse_function(text)
-    cfg = CfgInfo(fn)
-    ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
-    swp = ModuloScheduler().schedule_loop(fn, cfg, ddg, cfg.loops[0])
+    _cfg, _ddg, _loop, swp = schedule(parse_function(text))
 
     print("cycles per loop iteration (lower is better):")
     print(f"  global scheduling only   : {plain.output_schedule.block_length('LOOP')}")
@@ -51,8 +59,6 @@ def main():
     for slot, row in enumerate(swp.kernel()):
         text_row = "; ".join(f"{i.mnemonic} (stage {s})" for i, s in row)
         print(f"  [{slot}] {text_row}")
-    print(f"prologue: {len(swp.prologue())} instructions, "
-          f"epilogue: {len(swp.epilogue())} instructions")
 
     # Full code generation needs a *counted* loop (modulo variable
     # expansion; see repro.sched.swp_materialize). Pipeline one and prove
@@ -82,13 +88,12 @@ def main():
 .endp
 """
     fn2 = parse_function(counted_text)
-    cfg2 = CfgInfo(fn2)
-    ddg2 = build_dependence_graph(fn2, cfg2, compute_liveness(fn2))
-    msched = ModuloScheduler().schedule_loop(fn2, cfg2, ddg2, cfg2.loops[0])
-    pipelined = materialize_counted_loop(fn2, cfg2, ddg2, cfg2.loops[0], msched)
+    cfg2, ddg2, loop2, msched = schedule(fn2)
+    pipelined = materialize_counted_loop(fn2, cfg2, ddg2, loop2, msched)
     print()
-    print(f"materialized counted loop at II={msched.ii}: blocks "
-          f"{[b.name for b in pipelined.blocks]}")
+    print(f"materialized counted loop at II={msched.ii}:")
+    for block in pipelined.blocks:
+        print(f"  {block.name}: {len(block.instructions)} instructions")
     interp = Interpreter(max_blocks=2000)
     registers = initial_registers(fn2, 1)
     want = interp.run_function(fn2, registers, seed=1)

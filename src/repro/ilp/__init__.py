@@ -41,7 +41,6 @@ __all__ = [
 def solve_model(
     model,
     incumbent=None,
-    cutoff=None,
     deadline=None,
     fault_site=None,
     **kwargs,
@@ -53,11 +52,10 @@ def solve_model(
     search.
 
     ``incumbent`` (a ``{Var: value}`` mapping or index-aligned array) seeds
-    the search with a known feasible point, and ``cutoff`` rejects any
-    solution not strictly better than the given objective. Both are solve-
-    time inputs, not solver configuration, so they are threaded into the
-    ``solve`` call rather than the solver constructor; the cut loop uses
-    them to hand each re-solve the previous attempt's optimum.
+    the search with a known feasible point. It is a solve-time input, not
+    solver configuration, so it is threaded into the ``solve`` call rather
+    than the solver constructor; the cut loop uses it to hand each
+    re-solve the previous attempt's optimum.
 
     ``deadline`` (a :class:`repro.tools.deadline.Deadline`) clips the
     effective ``time_limit`` to the budget's *remaining* seconds, so a
@@ -69,5 +67,5 @@ def solve_model(
     if deadline is not None:
         kwargs["time_limit"] = deadline.bound(kwargs.get("time_limit"))
     return HighsSolver(**kwargs).solve(
-        model, incumbent=incumbent, cutoff=cutoff, fault_site=fault_site
+        model, incumbent=incumbent, fault_site=fault_site
     )

@@ -63,15 +63,13 @@ class HighsSolver:
         self.node_limit = node_limit
         self.mip_rel_gap = mip_rel_gap
 
-    def solve(self, model, incumbent=None, cutoff=None, fault_site=None):
+    def solve(self, model, incumbent=None, fault_site=None):
         """Solve ``model``; see :func:`repro.ilp.solve_model` for the API.
 
         scipy's ``milp`` wrapper offers no way to inject a starting
-        solution or an objective cutoff into HiGHS, so both parameters are
-        honoured post-hoc: a failed/timed-out solve falls back to the
-        (validated) ``incumbent`` as a FEASIBLE answer instead of
-        NO_SOLUTION, and any result not strictly better than ``cutoff`` is
-        reported as NO_SOLUTION.
+        solution into HiGHS, so ``incumbent`` is honoured post-hoc: a
+        failed/timed-out solve falls back to the (validated) incumbent as
+        a FEASIBLE answer instead of NO_SOLUTION.
 
         ``fault_site`` names this solve for deterministic fault injection
         (:mod:`repro.tools.faults`); an injected ``timeout`` reproduces
@@ -98,7 +96,7 @@ class HighsSolver:
             stats.gap_timeline = _fault_timeline("NO_SOLUTION")
             return Solution(SolveStatus.NO_SOLUTION, stats=stats)
         if not obs.ENABLED:
-            solution = self._solve_impl(model, incumbent, cutoff)
+            solution = self._solve_impl(model, incumbent)
         else:
             with obs.span(
                 "ilp.solve",
@@ -106,7 +104,7 @@ class HighsSolver:
                 variables=len(model.variables),
                 constraints=model.num_constraints,
             ) as span:
-                solution = self._solve_impl(model, incumbent, cutoff)
+                solution = self._solve_impl(model, incumbent)
                 span.set_attr("status", solution.status.name)
                 span.set_attr("nodes", solution.stats.nodes)
                 if solution.stats.gap is not None:
@@ -121,7 +119,7 @@ class HighsSolver:
             faults.corrupt_solution(solution)
         return solution
 
-    def _solve_impl(self, model, incumbent, cutoff):
+    def _solve_impl(self, model, incumbent):
         start = time.perf_counter()
         # scipy's milp exposes no solve callback, so the timeline is the
         # coarsest honest record HiGHS allows: an opening sample before
@@ -179,17 +177,6 @@ class HighsSolver:
             )
             return Solution(status, stats=stats)
         objective = float(result.fun)
-        if cutoff is not None and objective >= cutoff - 1e-9:
-            # Nothing strictly better than the cutoff exists (or was found
-            # in time): report no solution, as the cutoff contract says.
-            timeline.close(
-                elapsed,
-                incumbent=objective,
-                bound=stats.best_bound,
-                nodes=stats.nodes,
-                status=SolveStatus.NO_SOLUTION.name,
-            )
-            return Solution(SolveStatus.NO_SOLUTION, stats=stats)
         values = {}
         for var in model.variables:
             raw = float(result.x[var.index])

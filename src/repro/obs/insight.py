@@ -388,6 +388,8 @@ def swp_summary(metrics):
 
     by_status = _by_label("swp_loops_total", "status")
     loops = sum(by_status.values())
+    # Dumps from builds with a second SWP formulation also count the
+    # loops it shipped, as status "fallback_swp".
     pipelined = by_status.get("pipelined", 0) + by_status.get(
         "fallback_swp", 0
     )

@@ -1,10 +1,8 @@
 """The modulo ILP: decision variables per (instruction, row, stage).
 
-:mod:`repro.sched.swp` keeps a *time-indexed* formulation — binaries
-``x[n,t]`` over an absolute-time horizon — whose size grows with the
-critical path, not the kernel.  This module is the genuinely *modulo*
-formulation: each body instruction n picks one kernel **row**
-``r = t mod II`` and one **stage** ``s = t div II``, via binaries
+The one software-pipelining formulation, and a genuinely *modulo* one:
+each body instruction n picks one kernel **row** ``r = t mod II`` and
+one **stage** ``s = t div II``, via binaries
 ``y[n,r,s]`` with ``Σ y = 1``.  The model size is at most ``|body| · II
 · max_stages`` regardless of how long the unrolled schedule runs, and
 the modulo reservation table is stated directly: the instructions
@@ -96,7 +94,7 @@ class ModuloIlp:
             self.start[instr] = lin_sum(start * var for start, var in cells
                                         if start)
         add_dependence_rows(model, self.edges, ii, self.start, domain,
-                            lifetime=self.horizon)
+                            self.horizon)
         add_reservation_rows(model, rows, self.machine.ports)
         # Flat schedules first: fewer stages, smaller prologue/epilogue.
         model.set_objective(lin_sum(self.start.values()))
@@ -125,14 +123,14 @@ class ModuloIlp:
         }
 
 
-def add_dependence_rows(model, edges, ii, start, windows, lifetime=None):
+def add_dependence_rows(model, edges, ii, start, windows, lifetime):
     """``t_dst − t_src ≥ latency − distance·II`` per in-body edge.
 
     ``start`` maps an instruction to its start expression and ``windows``
     to its ``(earliest, latest)`` start; a row the two windows already
     satisfy is implied and left out.  ``lifetime`` (the stage horizon)
-    adds the modulo ILP's cap ``t_dst − t_src ≤ lifetime − distance·II``
-    on every value-carrying edge.
+    adds the cap ``t_dst − t_src ≤ lifetime − distance·II`` on every
+    value-carrying edge.
     """
     for index, edge in enumerate(edges):
         if edge.src not in start or edge.dst not in start:
@@ -146,7 +144,7 @@ def add_dependence_rows(model, edges, ii, start, windows, lifetime=None):
         bound = edge.latency - edge.distance * ii
         if least < bound:
             model.add_constraint(gap >= bound, name=f"dep_{index}")
-        if lifetime is None or edge.latency <= 0:
+        if edge.latency <= 0:
             continue
         # Lifetime / register-pressure bound: the value written by src
         # and read by dst stays live distance·II + (t_dst − t_src)

@@ -8,31 +8,28 @@ reports a structured :class:`LoopPipelineOutcome` instead, mirroring
 the §8 contract of the surrounding scheduler (``optimize`` stays
 no-raise with SWP enabled).
 
-The rungs, in degradation order:
+The ladder, in degradation order:
 
-1. **Modulo ILP** (:mod:`repro.sched.modulo.formulation`): for each
+1. **Cache**: a kernel stored under the loop's ``kind="loop"``
+   fingerprint (:func:`repro.serve.fingerprint.loop_fingerprint`) skips
+   the ILP entirely — materialization and the oracle still run, so a
+   stale or corrupt entry degrades to a live solve, never to bad code.
+2. **Modulo ILP** (:func:`modulo_schedule`, one
+   :class:`repro.sched.modulo.formulation.ModuloIlp` per II): for each
    candidate II from MII upward the remaining ladder budget is split
-   evenly over the remaining rungs, so an early II that is *almost*
-   feasible cannot starve the rest of the climb.  A candidate whose
-   start windows come out empty is recorded ``INFEASIBLE`` (reason
-   ``empty_window``) without a solve.
-2. **Time-indexed fallback** (:mod:`repro.sched.swp`): the previous
-   formulation, kept as its own rung — a different relaxation
-   occasionally finds a kernel the (row, stage)-bounded model rejects
-   (e.g. when the stage budget binds).
+   evenly over the IIs left, so an early II that is *almost* feasible
+   cannot starve the rest of the climb.  A candidate whose start windows
+   come out empty is recorded ``INFEASIBLE`` (reason ``empty_window``)
+   without a solve.  The first feasible II is the smallest one within
+   the stage bound.
 3. **Unpipelined**: the loop stays as the acyclic scheduler left it.
 
 Materialization sits behind the ``swp.materialize`` fault site: any
-injected kind fails that rung's code generation, which must demote the
-outcome down this ladder — chaos runs assert the degradation.  Every
-materialized routine must pass the kernel-vs-unrolled oracle
+injected kind fails code generation, which must demote the outcome to
+unpipelined — chaos runs assert the degradation.  Every materialized
+routine must pass the kernel-vs-unrolled oracle
 (:mod:`repro.sched.modulo.oracle`) before it is reported; an oracle
-failure discards the routine and falls to the next rung.
-
-Kernel schedules are cached in the serve store under a ``kind="loop"``
-fingerprint (:func:`repro.serve.fingerprint.loop_fingerprint`): a hit
-skips the ILP entirely — materialization and the oracle still run, so
-a stale or corrupt entry degrades to a live solve, never to bad code.
+failure discards the routine.
 """
 
 from __future__ import annotations
@@ -47,11 +44,7 @@ from repro.obs import core as obs
 from repro.sched.modulo.bounds import recurrence_mii, resource_mii
 from repro.sched.modulo.formulation import ModuloIlp
 from repro.sched.modulo.oracle import kernel_vs_unrolled
-from repro.sched.swp import (
-    ModuloSchedule,
-    ModuloScheduler,
-    build_modulo_edges,
-)
+from repro.sched.swp import ModuloSchedule, build_modulo_edges, loop_body
 from repro.sched.swp_materialize import (
     materialize_counted_loop,
     recognize_counted_loop,
@@ -59,7 +52,7 @@ from repro.sched.swp_materialize import (
 from repro.tools import faults
 from repro.tools.deadline import Deadline
 
-#: Minimum per-rung solver budget: below this a solve cannot even build
+#: Minimum per-II solver budget: below this a solve cannot even build
 #: the matrix, so the split floors here instead of shaving to nothing.
 _RUNG_FLOOR = 0.05
 
@@ -69,8 +62,7 @@ class LoopPipelineOutcome:
     """One loop's trip through the ladder (never an exception)."""
 
     loop_header: str
-    status: str  # "pipelined" | "fallback_swp" | "unpipelined"
-    method: str = "none"  # "modulo_ilp" | "time_indexed" | "none"
+    status: str  # "pipelined" | "unpipelined"
     ii: int | None = None
     stages: int = 0
     mii_resource: int = 0
@@ -94,11 +86,10 @@ class LoopPipelineOutcome:
         """One report line, greppable by the smoke jobs."""
         if self.pipelined:
             oracle = "passed" if self.oracle and self.oracle.ok else "FAILED"
-            tag = "" if self.status == "pipelined" else f" [{self.status}]"
             return (
                 f"swp {self.loop_header}: pipelined II={self.ii} "
                 f"(ResMII {self.mii_resource}, RecMII {self.mii_recurrence}), "
-                f"stages {self.stages}, oracle {oracle}{tag}"
+                f"stages {self.stages}, oracle {oracle}"
             )
         return (
             f"swp {self.loop_header}: unpipelined "
@@ -137,7 +128,7 @@ def pipeline_loop(
     if counted is None:
         return _finish(outcome, "not_counted", deadline, started)
     try:
-        body = ModuloScheduler._body_instructions(fn, loop)
+        body = loop_body(fn, loop)
     except SchedulingError as exc:
         outcome.detail["scope"] = str(exc)
         return _finish(outcome, "scope", deadline, started)
@@ -145,101 +136,86 @@ def pipeline_loop(
     edges = build_modulo_edges(fn, loop, body, ddg)
     outcome.mii_resource = resource_mii(body, machine)
     outcome.mii_recurrence = recurrence_mii(body, edges)
-    mii = outcome.mii
     outcome.detail["body_instructions"] = len(body)
     outcome.detail["edges"] = len(edges)
 
-    # -- rung 0: the kind="loop" cache ---------------------------------------
+    # -- the kind="loop" cache -----------------------------------------------
     cache_key = None
-    cached_starts = None
+    cached = None
     if store is not None and features is not None:
-        cache_key, cached_starts = _cache_probe(
+        cache_key, cached = _cache_probe(
             store, fn, loop, features, machine, body, outcome
         )
-
-    if cached_starts is not None:
-        msched = _as_schedule(loop, body, cached_starts, outcome)
+    if cached is not None:
         produced = _materialize_and_check(
-            fn, cfg, ddg, loop, msched, counted, oracle_seeds, outcome, trace
+            fn, cfg, ddg, loop, cached, counted, oracle_seeds, outcome, trace
         )
         if produced is not None:
             outcome.status = "pipelined"
-            outcome.method = "modulo_ilp"
-            return _finish(outcome, None, deadline, started, msched=msched,
-                           produced=produced)
+            return _finish(outcome, None, deadline, started, produced)
         # A cached kernel that fails to materialize or execute is stale:
         # drop to a live solve (and republish on success).
         outcome.detail["cache_discarded"] = True
         outcome.oracle = None
         outcome.ii = None
 
-    # -- rung 1: the modulo ILP ladder ---------------------------------------
-    ladder_clock = Deadline(time_limit)
-    with _span(trace, "swp.ladder", loop=loop.header, mii=mii):
-        starts, stats = _ii_ladder(
-            body, edges, mii, max_ii, max_stages, machine,
-            deadline, ladder_clock, outcome, trace,
+    # -- the modulo ILP --------------------------------------------------------
+    clock = Deadline(time_limit)
+    attempts = outcome.detail["rungs"] = []
+    with _span(trace, "swp.ladder", loop=loop.header, mii=outcome.mii):
+        msched = modulo_schedule(
+            loop, body, edges, machine=machine, max_ii=max_ii,
+            max_stages=max_stages, deadline=deadline, clock=clock,
+            bounds=(outcome.mii_resource, outcome.mii_recurrence),
+            attempts=attempts, trace=trace,
         )
-    if starts is not None:
-        msched = _as_schedule(loop, body, starts, outcome, stats)
-        produced = _materialize_and_check(
-            fn, cfg, ddg, loop, msched, counted, oracle_seeds, outcome, trace
+    if msched is None:
+        outcome.fallback_reason = (
+            "deadline" if deadline.expired or clock.expired
+            else "no_feasible_ii"
         )
-        if produced is not None:
-            outcome.status = "pipelined"
-            outcome.method = "modulo_ilp"
-            if cache_key is not None:
-                _cache_publish(store, cache_key, fn, loop, body, msched)
-            return _finish(outcome, None, deadline, started, msched=msched,
-                           produced=produced)
-
-    # -- rung 2: the time-indexed fallback -----------------------------------
-    remaining = deadline.remaining()
-    if remaining is None or remaining > _RUNG_FLOOR:
-        budget = time_limit
-        if remaining is not None:
-            budget = min(budget or remaining, remaining)
-        fallback = ModuloScheduler(
-            machine=machine, time_limit=budget,
-            max_ii=max_ii,
-        )
-        try:
-            with _span(trace, "swp.fallback", loop=loop.header):
-                msched = fallback.schedule_loop(fn, cfg, ddg, loop)
-        except SchedulingError as exc:
-            outcome.detail["fallback_error"] = str(exc)
-        else:
-            produced = _materialize_and_check(
-                fn, cfg, ddg, loop, msched, counted, oracle_seeds, outcome,
-                trace,
-            )
-            if produced is not None:
-                outcome.status = "fallback_swp"
-                outcome.method = "time_indexed"
-                return _finish(outcome, None, deadline, started,
-                               msched=msched, produced=produced)
-    else:
-        outcome.detail.setdefault("fallback_error", "no budget left")
-
-    # -- the floor: unpipelined ----------------------------------------------
-    reason = outcome.fallback_reason or "no_feasible_ii"
-    return _finish(outcome, reason, deadline, started)
+        return _finish(outcome, None, deadline, started)
+    produced = _materialize_and_check(
+        fn, cfg, ddg, loop, msched, counted, oracle_seeds, outcome, trace
+    )
+    if produced is None:
+        return _finish(outcome, None, deadline, started)
+    outcome.status = "pipelined"
+    if cache_key is not None:
+        _cache_publish(store, cache_key, fn, loop, body, msched)
+    return _finish(outcome, None, deadline, started, produced)
 
 
-# -- ladder internals ---------------------------------------------------------
-def _ii_ladder(body, edges, mii, max_ii, max_stages, machine,
-               deadline, ladder_clock, outcome, trace):
-    """Climb II from MII; returns (start_times, stats) or (None, None)."""
-    rungs = [ii for ii in range(mii, max(max_ii, mii) + 1)]
-    attempts = []
-    outcome.detail["rungs"] = attempts
+def modulo_schedule(loop, body, edges, machine=ITANIUM2, max_ii=32,
+                    max_stages=4, deadline=None, clock=None, bounds=None,
+                    attempts=None, trace=None):
+    """Climb II from MII to ``max_ii``; the first kernel, or None.
+
+    ``body`` and ``edges`` come from :func:`repro.sched.swp.loop_body`
+    and :func:`repro.sched.swp.build_modulo_edges`.  Each II gets one
+    :class:`ModuloIlp` with at most ``max_stages`` stages; its solve may
+    spend an even share of what is left on the tighter of ``deadline``
+    (the routine's shared clock) and ``clock`` (this loop's own budget),
+    both optional :class:`repro.tools.deadline.Deadline` objects.  Returns
+    None when no II up to ``max_ii`` has a kernel or a clock runs out
+    first.  ``bounds`` is the loop's ``(ResMII, RecMII)`` when the caller
+    has it already; ``attempts``, when given, receives one record per II
+    tried.
+    """
+    deadline = deadline if deadline is not None else Deadline(None)
+    clock = clock if clock is not None else Deadline(None)
+    attempts = attempts if attempts is not None else []
+    mii_resource, mii_recurrence = bounds or (
+        resource_mii(body, machine), recurrence_mii(body, edges)
+    )
+    mii = max(mii_resource, mii_recurrence, 1)
+    rungs = range(mii, max(max_ii, mii) + 1)
     for at, ii in enumerate(rungs):
-        budget = _rung_budget(deadline, ladder_clock, len(rungs) - at)
+        budget = _rung_budget(deadline, clock, len(rungs) - at)
         if budget is not None and budget <= 0:
-            outcome.fallback_reason = "deadline"
             attempts.append({"ii": ii, "status": "skipped", "reason":
                              "deadline"})
-            return None, None
+            return None
         milp = ModuloIlp(body, edges, ii, machine=machine,
                          max_stages=max_stages)
         if milp.windows is None:
@@ -264,20 +240,27 @@ def _ii_ladder(body, edges, mii, max_ii, max_stages, machine,
         if solution:
             starts = milp.start_times(solution)
             if starts is not None:
-                outcome.ii = ii
-                return starts, solution.stats
+                return _as_schedule(loop, ii, starts, mii_resource,
+                                    mii_recurrence)
             attempt["status"] = "CORRUPT"
-    outcome.fallback_reason = (
-        "deadline" if deadline.expired or ladder_clock.expired
-        else "no_feasible_ii"
+    return None
+
+
+def _as_schedule(loop, ii, starts, mii_resource, mii_recurrence):
+    return ModuloSchedule(
+        loop_header=loop.header,
+        ii=ii,
+        start_times=starts,
+        stages=1 + max((t // ii for t in starts.values()), default=0),
+        mii_resource=mii_resource,
+        mii_recurrence=mii_recurrence,
     )
-    return None, None
 
 
-def _rung_budget(deadline, ladder_clock, rungs_left):
-    """Even split of the tighter remaining budget over the rungs left."""
+def _rung_budget(deadline, clock, rungs_left):
+    """Even split of the tighter remaining budget over the IIs left."""
     remaining = [
-        r for r in (deadline.remaining(), ladder_clock.remaining())
+        r for r in (deadline.remaining(), clock.remaining())
         if r is not None
     ]
     if not remaining:
@@ -286,21 +269,6 @@ def _rung_budget(deadline, ladder_clock, rungs_left):
     if tightest <= 0:
         return 0.0
     return max(tightest / max(rungs_left, 1), _RUNG_FLOOR)
-
-
-def _as_schedule(loop, body, starts, outcome, stats=None):
-    ii = outcome.ii
-    stages = 1 + max((t // ii for t in starts.values()), default=0)
-    outcome.stages = stages
-    return ModuloSchedule(
-        loop_header=loop.header,
-        ii=ii,
-        start_times=starts,
-        stages=stages,
-        mii_resource=outcome.mii_resource,
-        mii_recurrence=outcome.mii_recurrence,
-        solver_stats=stats,
-    )
 
 
 def _materialize_and_check(fn, cfg, ddg, loop, msched, counted, oracle_seeds,
@@ -344,7 +312,7 @@ def _materialize_and_check(fn, cfg, ddg, loop, msched, counted, oracle_seeds,
 
 # -- cache --------------------------------------------------------------------
 def _cache_probe(store, fn, loop, features, machine, body, outcome):
-    """Look up a cached kernel; returns (key, starts or None)."""
+    """Look up a cached kernel; returns (key, ModuloSchedule or None)."""
     from repro.serve.fingerprint import CODE_VERSION, loop_fingerprint
 
     try:
@@ -352,7 +320,7 @@ def _cache_probe(store, fn, loop, features, machine, body, outcome):
     except Exception:
         return None, None
     header = store.load_header(key)
-    starts = None
+    cached = None
     if (
         header
         and header.get("code_version") == CODE_VERSION
@@ -374,15 +342,15 @@ def _cache_probe(store, fn, loop, features, machine, body, outcome):
             except (ValueError, IndexError, TypeError):
                 decoded = None
             if decoded is not None and all(t >= 0 for t in decoded.values()):
-                starts = decoded
-                outcome.ii = ii
-    outcome.cache = "hit" if starts is not None else "miss"
+                cached = _as_schedule(loop, ii, decoded, outcome.mii_resource,
+                                      outcome.mii_recurrence)
+    outcome.cache = "hit" if cached is not None else "miss"
     if obs.ENABLED:
         obs.counter(
-            "swp_cache_hits_total" if starts is not None
+            "swp_cache_hits_total" if cached is not None
             else "swp_cache_misses_total"
         )
-    return key, starts
+    return key, cached
 
 
 def _cache_publish(store, key, fn, loop, body, msched):
@@ -414,7 +382,7 @@ def _cache_publish(store, key, fn, loop, body, msched):
 
 
 # -- bookkeeping --------------------------------------------------------------
-def _finish(outcome, reason, deadline, started, msched=None, produced=None):
+def _finish(outcome, reason, deadline, started, produced=None):
     if reason is not None and outcome.fallback_reason is None:
         outcome.fallback_reason = reason
     if produced is not None:

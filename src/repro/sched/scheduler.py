@@ -140,9 +140,9 @@ class ScheduleFeatures:
     decompose_min_instructions: int = 100
     # Software pipelining (repro.sched.modulo): beside the acyclic global
     # schedule (on a second thread when one is free), modulo-schedule
-    # every counted single-block inner loop through the II ladder (modulo
-    # ILP from MII upward, then the time-indexed formulation, then the
-    # unpipelined loop).  Off by default: the pipelined routine is
+    # every counted single-block inner loop through the II ladder (cached
+    # kernel, then the modulo ILP from MII upward, then the unpipelined
+    # loop).  Off by default: the pipelined routine is
     # attached as per-loop ``OptimizeResult.swp_outcomes`` records, never
     # spliced into the acyclic ``output_schedule``.
     swp: bool = False
@@ -280,7 +280,6 @@ class OptimizeResult:
         ("solve.phase2", "phase 2"),
         ("verify", "verify"),
         ("swp.ladder", "swp ladder"),
-        ("swp.fallback", "swp fallback"),
         ("swp.materialize", "swp materialize"),
         ("swp.oracle", "swp oracle"),
     )

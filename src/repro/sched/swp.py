@@ -1,29 +1,22 @@
-"""ILP-based software pipelining (modulo scheduling).
+"""Software pipelining: the loop body, its dependences and its kernel.
 
 The paper closes with "currently we are studying ... how [the model] can
-be modified to support software pipelining" — this module is that
-extension: optimal modulo scheduling of single-block innermost loops,
-built on the same ILP substrate.
+be modified to support software pipelining" — this module holds the
+loop-side pieces of that extension, shared by the modulo ILP
+(:mod:`repro.sched.modulo.formulation`), its II ladder
+(:mod:`repro.sched.modulo.ladder`) and the code generator
+(:mod:`repro.sched.swp_materialize`):
 
-Formulation (classic time-indexed modulo scheduling):
-
-* body instructions get binaries ``x[n,t]`` with ``Σ_t x[n,t] = 1``,
-  ``t`` ranging over n's start window within ``0..T_max``; branch
-  instructions are excluded (the kernel's backedge branch recurs
-  implicitly every II cycles);
-* dependences carry an iteration *distance*: same-iteration edges from
-  the in-block order, loop-carried edges (distance 1) from definitions
-  reaching the next iteration and from carried anti/output pairs;
-  feasibility requires ``t_n - t_m >= lat - distance · II``, linear in
-  the start-time expressions ``Σ t·x``;
-* modulo resource constraints: for every kernel slot ``s < II`` the
-  instructions with ``t ≡ s (mod II)`` must fit one dispersal window
-  (issue width and per-unit port caps, as in eq. (6)).
-
-Search: II rises from the resource-derived lower bound (ResMII) and the
-recurrence bound (RecMII) until the ILP is feasible — the first feasible
-II is optimal. The result carries kernel, prologue and epilogue
-instruction sequences (stage-annotated copies).
+* :func:`loop_body` — the instructions of a single-block innermost loop
+  that get start times (branches and nops excluded: the kernel's backedge
+  branch recurs implicitly every II cycles);
+* :func:`build_modulo_edges` — dependences with an iteration *distance*:
+  same-iteration edges from the in-block order, loop-carried edges
+  (distance 1) from definitions reaching the next iteration and from
+  carried anti/output pairs; a schedule is feasible when
+  ``t_n - t_m >= lat - distance · II`` for every edge;
+* :class:`ModuloSchedule` — one kernel: the II, every body instruction's
+  absolute start cycle, and the stage count.
 
 Restrictions: single-block loops (header == latch) without calls or
 further control flow, mirroring where production compilers apply SWP and
@@ -35,18 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SchedulingError
-from repro.ilp import Model, lin_sum, solve_model
-from repro.machine.itanium2 import ITANIUM2
-from repro.sched.modulo.bounds import (
-    critical_path as _critical_path,
-    recurrence_mii,
-    resource_mii as _resource_mii,
-    start_windows,
-)
-from repro.sched.modulo.formulation import (
-    add_dependence_rows,
-    add_reservation_rows,
-)
 
 
 @dataclass(frozen=True)
@@ -69,147 +50,42 @@ class ModuloSchedule:
     stages: int
     mii_resource: int
     mii_recurrence: int
-    solver_stats: object = None
 
     def kernel(self):
-        """Kernel rows: list (length II) of [(instr, stage), ...]."""
+        """Kernel rows: list (length II) of [(instr, stage), ...].
+
+        Within a row the older iteration (higher stage) comes first, then
+        program order: the order the materialized loop executes them in.
+        """
         rows = [[] for _ in range(self.ii)]
         for instr, start in self.start_times.items():
             rows[start % self.ii].append((instr, start // self.ii))
         for row in rows:
-            row.sort(key=lambda pair: (pair[1], pair[0].uid))
+            row.sort(key=lambda pair: (-pair[1], pair[0].uid))
         return rows
 
-    def prologue(self):
-        """Fill instructions: iterations 0..stages-2, stages not yet live."""
-        out = []
-        for fill in range(self.stages - 1):
-            for instr, start in sorted(
-                self.start_times.items(), key=lambda kv: kv[1]
-            ):
-                if start // self.ii <= fill:
-                    out.append((instr.copy(), fill))
-        return out
 
-    def epilogue(self):
-        """Drain instructions: the last stages-1 iterations finishing up."""
-        out = []
-        for drain in range(1, self.stages):
-            for instr, start in sorted(
-                self.start_times.items(), key=lambda kv: kv[1]
-            ):
-                if start // self.ii >= drain:
-                    out.append((instr.copy(), drain))
-        return out
+def loop_body(fn, loop):
+    """The instructions of ``loop`` that get modulo start times.
 
-
-class ModuloScheduler:
-    """Optimal modulo scheduling via the ILP substrate."""
-
-    def __init__(self, machine=ITANIUM2, time_limit=30.0, max_ii=64):
-        self.machine = machine
-        self.time_limit = time_limit
-        self.max_ii = max_ii
-
-    # -- public ---------------------------------------------------------------
-    def schedule_loop(self, fn, cfg, ddg, loop):
-        """Modulo-schedule a single-block loop; returns ModuloSchedule."""
-        body = self._body_instructions(fn, loop)
-        edges = build_modulo_edges(fn, loop, body, ddg)
-        res_mii = self.resource_mii(body)
-        rec_mii = recurrence_mii(body, edges)
-        ii = max(res_mii, rec_mii, 1)
-        while ii <= self.max_ii:
-            schedule = self._try_ii(body, edges, ii)
-            if schedule is not None:
-                start_times, stats = schedule
-                stages = 1 + max(
-                    (t // ii for t in start_times.values()), default=0
-                )
-                return ModuloSchedule(
-                    loop_header=loop.header,
-                    ii=ii,
-                    start_times=start_times,
-                    stages=stages,
-                    mii_resource=res_mii,
-                    mii_recurrence=rec_mii,
-                    solver_stats=stats,
-                )
-            ii += 1
+    Raises :class:`SchedulingError` for loops out of scope: more than one
+    block, a call in the body, or nothing to schedule.
+    """
+    if len(loop.blocks) != 1:
         raise SchedulingError(
-            f"no feasible II up to {self.max_ii} for loop {loop.header}"
+            "modulo scheduling handles single-block loops only"
         )
-
-    # -- pieces ---------------------------------------------------------------
-    @staticmethod
-    def _body_instructions(fn, loop):
-        if len(loop.blocks) != 1:
-            raise SchedulingError(
-                "modulo scheduling handles single-block loops only"
-            )
-        block = fn.block(loop.header)
-        body = [
-            i
-            for i in block.instructions
-            if not i.is_branch and not i.is_nop
-        ]
-        if any(i.is_call for i in block.instructions):
-            raise SchedulingError("loops with calls are not pipelined")
-        if not body:
-            raise SchedulingError("empty loop body")
-        return body
-
-    def resource_mii(self, body):
-        """ResMII: ceil(usage / capacity) over all unit classes.
-
-        The computation lives in :mod:`repro.sched.modulo.bounds` (the
-        canonical MII code shared with the modulo ILP ladder); this
-        method survives as the machine-bound convenience form.
-        """
-        return _resource_mii(body, self.machine)
-
-    def _try_ii(self, body, edges, ii):
-        """Build and solve the time-indexed model for one candidate II.
-
-        Each ``x[n,t]`` exists only inside n's start window over the
-        horizon ``ii + critical path``; an empty window proves the II
-        infeasible without a solve.
-        """
-        horizon = ii + _critical_path(body, edges)
-        windows = start_windows(body, edges, ii, horizon)
-        if windows is None:
-            return None
-        model = Model(f"swp_ii{ii}")
-        cells, start = {}, {}
-        slots = [[] for _ in range(ii)]
-        for instr in body:
-            earliest, latest = windows[instr]
-            cells[instr] = [
-                (t, model.add_binary(f"x_{instr.uid}_{t}"))
-                for t in range(earliest, latest + 1)
-            ]
-            model.add_constraint(
-                lin_sum(var for _t, var in cells[instr]) == 1,
-                name=f"assign_{instr.uid}",
-            )
-            start[instr] = lin_sum(t * var for t, var in cells[instr] if t)
-            for t, var in cells[instr]:
-                slots[t % ii].append((instr, var))
-        add_dependence_rows(model, edges, ii, start, windows)
-        add_reservation_rows(model, slots, self.machine.ports)
-
-        # Prefer flat schedules (fewer stages -> less prologue/epilogue).
-        model.set_objective(lin_sum(start.values()))
-        solution = solve_model(model, time_limit=self.time_limit)
-        if not solution:
-            return None
-        times = {
-            instr: int(round(sum(
-                t * solution.value_of(var) for t, var in cells[instr]
-            )))
-            for instr in body
-        }
-        return times, solution.stats
+    block = fn.block(loop.header)
+    body = [
+        i
+        for i in block.instructions
+        if not i.is_branch and not i.is_nop
+    ]
+    if any(i.is_call for i in block.instructions):
+        raise SchedulingError("loops with calls are not pipelined")
+    if not body:
+        raise SchedulingError("empty loop body")
+    return body
 
 
 def build_modulo_edges(fn, loop, body, ddg):
@@ -280,10 +156,3 @@ def build_modulo_edges(fn, loop, body, ddg):
         if edge.latency > kept.latency:
             merged[(edge.src, edge.dst, edge.distance)] = edge
     return list(merged.values())
-
-
-# recurrence_mii, critical_path and start_windows live in
-# repro.sched.modulo.bounds (imported above), and the dependence and
-# reservation rows in repro.sched.modulo.formulation: the MII theory and
-# the row families are shared verbatim between this time-indexed
-# formulation and the modulo ILP.

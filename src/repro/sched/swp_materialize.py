@@ -1,6 +1,7 @@
 """Materializing modulo schedules: prologue / unrolled kernel / epilogue.
 
-:mod:`repro.sched.swp` finds the optimal kernel (II, start times); this
+The modulo ILP ladder (:mod:`repro.sched.modulo.ladder`) finds the
+kernel (a :class:`repro.sched.swp.ModuloSchedule`: II, start times); this
 module turns it into executable code for *counted* loops — the classic
 software-pipelining code generation with **modulo variable expansion**
 (no rotating register file needed):
@@ -158,7 +159,12 @@ def materialize_counted_loop(fn, cfg, ddg, loop, msched, counted=None):
 
     Emission is *time-expanded*: every instance (n, ℓ) of a body
     instruction executes at absolute time ℓ·II + t_n; instances sorted by
-    that time give a sequentially valid order. The window [P, P + q·P)
+    that time give a sequentially valid order. Instances sharing a cycle
+    keep the source loop's order — older iteration first, then program
+    order — because a zero-latency dependence (such as a carried store
+    feeding the next iteration's load) lets its two ends share a cycle,
+    and then only the order decides what the destination sees. The
+    window [P, P + q·P)
     (P = u·II) is periodic — identical register classes every pass — and
     becomes the kernel loop; everything before is the prologue, the rest
     the epilogue.
@@ -187,7 +193,6 @@ def materialize_counted_loop(fn, cfg, ddg, loop, msched, counted=None):
 
     stage_of = {instr: start // ii for instr, start in body}
     start_of = dict(body)
-    position = {instr: at for at, (instr, _s) in enumerate(body)}
     # Reaching definitions resolve in *original program order* — the
     # schedule's time order is no proxy for it: a register written twice
     # per iteration (accumulator chains) or a carried writer the solver
@@ -238,7 +243,8 @@ def materialize_counted_loop(fn, cfg, ddg, loop, msched, counted=None):
     escaping = _escaping_registers(fn, loop, writers)
 
     def instances_between(t_lo, t_hi):
-        """(time, body position, instr, logical) for t_lo <= time < t_hi."""
+        """(time, logical, program position, instr) for t_lo <= time < t_hi,
+        in execution order."""
         out = []
         for instr, t_start in body:
             first = max(0, -(-(t_lo - t_start) // ii))
@@ -246,7 +252,7 @@ def materialize_counted_loop(fn, cfg, ddg, loop, msched, counted=None):
                 time = logical * ii + t_start
                 if time >= t_hi:
                     break
-                out.append((time, position[instr], instr, logical))
+                out.append((time, logical, block_order[instr], instr))
         out.sort()
         return out
 
@@ -309,7 +315,7 @@ def materialize_counted_loop(fn, cfg, ddg, loop, msched, counted=None):
         name=f"{header}__pro", freq=header_freq / iterations
     )
     fill_end = last_time if unrolled else period
-    for _t, _p, instr, logical in instances_between(0, fill_end):
+    for _t, logical, _p, instr in instances_between(0, fill_end):
         prologue.instructions.append(instance(instr, logical))
 
     kernel = counter = None
@@ -317,7 +323,7 @@ def materialize_counted_loop(fn, cfg, ddg, loop, msched, counted=None):
         kernel = BasicBlock(
             name=f"{header}__ker", freq=header_freq * passes * u / iterations
         )
-        for _t, _p, instr, logical in instances_between(period, 2 * period):
+        for _t, logical, _p, instr in instances_between(period, 2 * period):
             # Register classes repeat every u iterations, so pass-0
             # instances stand for every pass.
             kernel.instructions.append(instance(instr, logical))
@@ -336,7 +342,7 @@ def materialize_counted_loop(fn, cfg, ddg, loop, msched, counted=None):
         name=f"{header}__epi", freq=header_freq / iterations
     )
     if not unrolled:
-        for _t, _p, instr, logical in instances_between(
+        for _t, logical, _p, instr in instances_between(
             period + passes * period, last_time
         ):
             epilogue.instructions.append(instance(instr, logical))

@@ -58,9 +58,9 @@ Sites (``SITES``):
 ``swp.materialize``
     Kernel materialization in the software-pipelining ladder
     (:mod:`repro.sched.modulo.ladder`): any firing discards the modulo
-    schedule before prologue/kernel/epilogue construction, forcing the
-    ladder down a rung — the loop is still emitted (time-indexed SWP or
-    the unpipelined original) and ``optimize`` never raises.
+    schedule before prologue/kernel/epilogue construction, so the loop
+    stays unpipelined (reason ``materialize``) and ``optimize`` never
+    raises.
 
 Kinds (``KINDS``):
 

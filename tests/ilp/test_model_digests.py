@@ -81,7 +81,7 @@ SCRIPT = "COMBO = " + repr(COMBO) + textwrap.dedent(
     from repro.sched.modulo.formulation import ModuloIlp
     from repro.sched.regions import build_region
     from repro.sched.scheduler import IlpScheduler, ScheduleFeatures
-    from repro.sched.swp import ModuloScheduler, build_modulo_edges
+    from repro.sched.swp import build_modulo_edges, loop_body
     from repro.sched.swp_materialize import recognize_counted_loop
     from repro.workloads.generator import (
         RoutineSpec, generate_routine, loop_dominated_family,
@@ -157,7 +157,7 @@ SCRIPT = "COMBO = " + repr(COMBO) + textwrap.dedent(
         for loop in cfg.loops:
             if recognize_counted_loop(fn, loop) is None:
                 continue
-            body = ModuloScheduler._body_instructions(fn, loop)
+            body = loop_body(fn, loop)
             edges = build_modulo_edges(fn, loop, body, ddg)
             mii = max(resource_mii(body, ITANIUM2),
                       recurrence_mii(body, edges))

@@ -1,12 +1,10 @@
-"""Incumbent and cutoff seeding of a solve.
+"""Incumbent seeding of a solve.
 
-scipy's ``milp`` cannot hand HiGHS a start point or an objective cutoff,
-so ``HighsSolver`` honours both after the solve. Three contracts must
-hold on every model:
+scipy's ``milp`` cannot hand HiGHS a start point, so ``HighsSolver``
+honours the incumbent after the solve. Two contracts must hold on every
+model:
 
 * seeding with the known optimum never changes the reported optimum;
-* a cutoff at the optimum means nothing strictly better exists, which
-  is reported as NO_SOLUTION;
 * a solve that stops on a limit without a point falls back to a
   caller's incumbent as FEASIBLE, but only when that incumbent is
   feasible.
@@ -33,7 +31,7 @@ def _knapsack(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_highs_seeding_and_cutoff_agree(seed):
+def test_highs_seeding_keeps_the_optimum(seed):
     model, _ = _knapsack(seed)
     reference = solve_model(model)
     assert reference.status is SolveStatus.OPTIMAL
@@ -42,15 +40,6 @@ def test_highs_seeding_and_cutoff_agree(seed):
     seeded = solve_model(model, incumbent=reference.values)
     assert seeded.status is SolveStatus.OPTIMAL
     assert seeded.objective == pytest.approx(reference.objective)
-
-    # A cutoff at the optimum means nothing strictly better exists.
-    cut = solve_model(model, cutoff=reference.objective)
-    assert cut.status is SolveStatus.NO_SOLUTION
-
-    # A cutoff above the optimum keeps it.
-    loose = solve_model(model, cutoff=reference.objective + 1)
-    assert loose.status is SolveStatus.OPTIMAL
-    assert loose.objective == pytest.approx(reference.objective)
 
 
 def test_limit_without_a_point_falls_back_to_the_incumbent():

@@ -25,9 +25,10 @@ from repro.sched.modulo.bounds import (
 )
 from repro.sched.modulo.formulation import ModuloIlp
 from repro.sched.modulo.ladder import LoopPipelineOutcome, pipeline_loop
-from repro.sched.swp import ModuloScheduler, build_modulo_edges
+from repro.sched.swp import build_modulo_edges, loop_body
 from repro.tools import faults
 from repro.tools.deadline import Deadline
+from repro.workloads.generator import loop_dominated_family
 
 COUNTED_LOOP = """
 .proc counted
@@ -56,15 +57,18 @@ COUNTED_LOOP = """
 
 def _pipeline(text):
     fn = parse_function(text)
+    return (fn, *_pipeline_parts(fn))
+
+
+def _pipeline_parts(fn):
     cfg = CfgInfo(fn)
-    ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
-    return fn, cfg, ddg
+    return cfg, build_dependence_graph(fn, cfg, compute_liveness(fn))
 
 
 def _loop_parts(text):
     fn, cfg, ddg = _pipeline(text)
     loop = cfg.loops[0]
-    body = ModuloScheduler._body_instructions(fn, loop)
+    body = loop_body(fn, loop)
     edges = build_modulo_edges(fn, loop, body, ddg)
     return fn, cfg, ddg, loop, body, edges
 
@@ -197,7 +201,6 @@ def counted_outcome():
 def test_ladder_pipelines_at_mii(counted_outcome):
     outcome, _fn = counted_outcome
     assert outcome.status == "pipelined"
-    assert outcome.method == "modulo_ilp"
     assert outcome.ii == outcome.mii
     assert outcome.oracle and outcome.oracle.ok
     assert "pipelined II=" in outcome.summary()
@@ -241,18 +244,40 @@ def test_ladder_not_counted_is_unpipelined():
 
 def test_ladder_chaos_degrades_never_raises():
     fn, cfg, ddg, loop, _body, _edges = _loop_parts(COUNTED_LOOP)
-    # One materialization fault: the modulo kernel is discarded, the
-    # time-indexed rung still produces a pipelined loop.
+    # One materialization fault discards the modulo kernel; there is no
+    # rung below the modulo ILP, so the loop is left alone.
     with faults.inject("swp.materialize=error:1"):
         outcome = pipeline_loop(fn, cfg, ddg, loop)
-    assert outcome.status == "fallback_swp"
-    assert outcome.method == "time_indexed"
-    assert outcome.oracle and outcome.oracle.ok
-    # Persistent faults exhaust every rung: the loop is left alone.
+    assert outcome.status == "unpipelined"
+    assert outcome.fallback_reason == "materialize"
+    assert not outcome.pipelined
+    # Persistent faults land on the same floor.
     with faults.inject("swp.materialize=error"):
         outcome = pipeline_loop(fn, cfg, ddg, loop)
     assert outcome.status == "unpipelined"
     assert not outcome.pipelined
+
+
+def test_ladder_keeps_the_stage_bound():
+    # One stage allows no overlap between iterations, so no loop may come
+    # back pipelined and no kernel may use a second stage.
+    for spec, fn in loop_dominated_family(count=11, seed=1):
+        cfg, ddg = _pipeline_parts(fn)
+        for loop in cfg.loops:
+            outcome = pipeline_loop(fn, cfg, ddg, loop, max_stages=1)
+            assert not outcome.pipelined, spec.name
+            assert outcome.stages <= 1, spec.name
+
+
+def test_zero_latency_carried_store_feeds_the_next_load():
+    # At II 6 the carried store st8 [r33+8] (stage 1) shares kernel row 0
+    # with the next iteration's ld8 [r15] (stage 0), and in iteration 1
+    # r15 == r33+8: the store has to come first within the row.
+    _spec, fn = list(loop_dominated_family(count=11, seed=6))[9]
+    cfg, ddg = _pipeline_parts(fn)
+    outcome = pipeline_loop(fn, cfg, ddg, cfg.loops[0])
+    assert outcome.status == "pipelined", outcome.summary()
+    assert outcome.oracle and outcome.oracle.ok
 
 
 def test_ladder_respects_exhausted_deadline():

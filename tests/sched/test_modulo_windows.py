@@ -8,8 +8,7 @@ seeds 1-2, positions 0-10) at II = MII and MII + 1, both must reach the
 same status and the same optimum — for Σt, for −Σt, and with each
 value-carrying edge stretched until its lifetime row binds — and the
 reference optimum must lie inside the windows. An empty window rejects
-an II with no solver call, in the II ladder and in the time-indexed
-fallback rung alike.
+an II in the II ladder with no solver call.
 """
 
 import pytest
@@ -20,7 +19,6 @@ from repro.ir.ddg import build_dependence_graph
 from repro.ir.liveness import compute_liveness
 from repro.ir.parser import parse_function
 from repro.machine.itanium2 import ITANIUM2
-from repro.sched import swp
 from repro.sched.modulo import ladder
 from repro.sched.modulo.bounds import (
     has_positive_cycle,
@@ -28,7 +26,7 @@ from repro.sched.modulo.bounds import (
     resource_mii,
 )
 from repro.sched.modulo.formulation import ModuloIlp
-from repro.sched.swp import ModuloScheduler, build_modulo_edges
+from repro.sched.swp import build_modulo_edges, loop_body
 from repro.tools.deadline import Deadline
 from repro.workloads.generator import loop_dominated_family
 from tests.sched.modulo_reference import ReferenceModuloIlp
@@ -78,7 +76,7 @@ def _parts(fn):
     cfg = CfgInfo(fn)
     ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
     loop = cfg.loops[0]
-    body = ModuloScheduler._body_instructions(fn, loop)
+    body = loop_body(fn, loop)
     return fn, cfg, ddg, loop, body, build_modulo_edges(fn, loop, body, ddg)
 
 
@@ -194,13 +192,14 @@ def test_ladder_rejects_ii_below_recurrence_without_a_solve(monkeypatch):
     _fn, _cfg, _ddg, loop, body, edges = _parts(parse_function(TIGHT))
     rec = recurrence_mii(body, edges)
     solved = _count_solves(monkeypatch, ladder)
-    outcome = ladder.LoopPipelineOutcome(loop.header, "unpipelined")
-    starts, _stats = ladder._ii_ladder(
-        body, edges, rec - 1, rec, 4, ITANIUM2, Deadline(None),
-        Deadline(30.0), outcome, None,
+    attempts = []
+    # Claim a RecMII one too low, so the climb starts below the real one.
+    msched = ladder.modulo_schedule(
+        loop, body, edges, max_ii=rec, clock=Deadline(30.0),
+        bounds=(1, rec - 1), attempts=attempts,
     )
-    assert starts is not None and outcome.ii == rec
-    first, second = outcome.detail["rungs"]
+    assert msched is not None and msched.ii == rec
+    first, second = attempts
     assert first["ii"] == rec - 1
     assert first["status"] == "INFEASIBLE"
     assert first["reason"] == "empty_window"
@@ -220,17 +219,3 @@ def test_stage_budget_rejects_rungs_without_a_solve(monkeypatch, corpus):
     assert skipped, name
     assert len(solved) == len(rungs) - len(skipped)
     assert all(f"modulo_ii{r['ii']}" not in solved for r in skipped)
-
-
-def test_time_indexed_rung_rejects_ii_below_recurrence(monkeypatch):
-    _fn, _cfg, _ddg, _loop, body, edges = _parts(parse_function(TIGHT))
-    rec = recurrence_mii(body, edges)
-    solved = _count_solves(monkeypatch, swp)
-    scheduler = ModuloScheduler(time_limit=30.0)
-    assert scheduler._try_ii(body, edges, rec - 1) is None
-    assert solved == []
-    times, _stats = scheduler._try_ii(body, edges, rec)
-    assert solved == [f"swp_ii{rec}"]
-    for edge in edges:
-        gap = times[edge.dst] - times[edge.src]
-        assert gap >= edge.latency - edge.distance * rec

@@ -106,7 +106,7 @@ def _optimize_at_width(monkeypatch, width, fn, features=OVERLAP_FEATURES):
 def _fingerprint(result):
     outcomes = [
         (
-            o.loop_header, o.status, o.method, o.ii, o.stages,
+            o.loop_header, o.status, o.ii, o.stages,
             None if o.oracle is None else o.oracle.ok,
             None if o.pipelined_fn is None else format_function(o.pipelined_fn),
         )

@@ -7,7 +7,8 @@ from repro.ir.ddg import build_dependence_graph
 from repro.ir.interp import Interpreter, initial_registers
 from repro.ir.liveness import compute_liveness
 from repro.ir.parser import parse_function
-from repro.sched.swp import ModuloScheduler
+from repro.sched.modulo import modulo_schedule
+from repro.sched.swp import build_modulo_edges, loop_body
 from repro.sched.swp_materialize import (
     materialize_counted_loop,
     recognize_counted_loop,
@@ -45,11 +46,16 @@ def _pipeline(text):
     return fn, cfg, ddg
 
 
+def _schedule(fn, ddg, loop):
+    body = loop_body(fn, loop)
+    return modulo_schedule(loop, body, build_modulo_edges(fn, loop, body, ddg))
+
+
 @pytest.fixture(scope="module")
 def materialized():
     fn, cfg, ddg = _pipeline(COUNTED_LOOP)
     loop = cfg.loops[0]
-    msched = ModuloScheduler().schedule_loop(fn, cfg, ddg, loop)
+    msched = _schedule(fn, ddg, loop)
     out = materialize_counted_loop(fn, cfg, ddg, loop, msched)
     assert out is not None
     return fn, out, msched

@@ -6,7 +6,8 @@ from repro.ir.cfg import CfgInfo
 from repro.ir.ddg import build_dependence_graph
 from repro.ir.liveness import compute_liveness
 from repro.ir.parser import parse_function
-from repro.sched.swp import ModuloScheduler
+from repro.sched.modulo import modulo_schedule
+from repro.sched.swp import build_modulo_edges, loop_body
 from repro.sched.swp_materialize import (
     materialize_counted_loop,
     recognize_counted_loop,
@@ -18,6 +19,11 @@ def _pipeline(text):
     cfg = CfgInfo(fn)
     ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
     return fn, cfg, ddg
+
+
+def _schedule(fn, ddg, loop):
+    body = loop_body(fn, loop)
+    return modulo_schedule(loop, body, build_modulo_edges(fn, loop, body, ddg))
 
 
 def _counted(trips, extra_use_of_counter=False):
@@ -52,7 +58,7 @@ def test_too_few_trips_fully_unrolled():
     # the unrolled routine must be loop-free yet execute identically.
     fn, cfg, ddg = _pipeline(_counted(1))
     loop = cfg.loops[0]
-    msched = ModuloScheduler().schedule_loop(fn, cfg, ddg, loop)
+    msched = _schedule(fn, ddg, loop)
     out = materialize_counted_loop(fn, cfg, ddg, loop, msched)
     assert out is not None
     assert not CfgInfo(out).loops
@@ -76,7 +82,7 @@ def test_counter_with_data_use_rejected():
 def test_ample_trips_materialize():
     fn, cfg, ddg = _pipeline(_counted(12))
     loop = cfg.loops[0]
-    msched = ModuloScheduler().schedule_loop(fn, cfg, ddg, loop)
+    msched = _schedule(fn, ddg, loop)
     out = materialize_counted_loop(fn, cfg, ddg, loop, msched)
     assert out is not None
     from repro.ir.interp import Interpreter, initial_registers
