@@ -85,6 +85,7 @@ from repro.sched.list_scheduler import ListScheduler
 from repro.sched.reconstruct import ReconstructionResult
 from repro.sched.regions import build_region
 from repro.sched.schedule import Schedule
+from repro.sched.scheduler import _PipelineResult
 from repro.sched.speculation import (
     _speculative_theta,
     find_speculation_candidates,
@@ -136,34 +137,6 @@ class StitchedSolution:
 
     def __bool__(self):
         return self.status.has_solution
-
-
-@dataclass
-class StitchedPieces:
-    """A stitched result, shaped like the scheduler's ``_PipelineResult``.
-
-    ``stitched`` tells ``_optimize_impl`` to take verification inputs
-    from here instead of from a (single) model: ``verify_edges`` carries
-    each partition's verifiable edges plus every cross-partition DDG
-    edge (satisfied by block order — the machine flushes latencies at
-    block boundaries, and a producer's partition precedes its cross-cut
-    consumers on every path).
-    """
-
-    ilp: object
-    final_solution: object
-    reconstruction: object
-    spec_groups: list
-    bundles_out: object
-    phase1_size: dict
-    phase2_applied: bool
-    phase2_failure: object
-    statuses: list
-    unproven_site: object
-    verify_edges: list
-    verify_scopes: dict
-    partitions: int
-    stitched: bool = True
 
 
 @dataclass
@@ -454,7 +427,12 @@ def _solve_partitions(scheduler, parts, deadline, trace, messages):
 
 
 def _stitch(work, region, ddg, parts, solved):
-    """Merge per-partition pipeline results into one StitchedPieces.
+    """Merge per-partition pipeline results into one ``_PipelineResult``.
+
+    Its ``verify_edges`` carry each partition's verifiable edges plus
+    every cross-partition DDG edge (satisfied by block order — the
+    machine flushes latencies at block boundaries, and a producer's
+    partition precedes its cross-cut consumers on every path).
 
     Raises :class:`SchedulingError` on any inconsistency (including an
     injected ``decompose.stitch`` fault); the caller falls back to the
@@ -490,8 +468,6 @@ def _stitch(work, region, ddg, parts, solved):
     has_objective = False
     gaps = []
 
-    from repro.sched.scheduler import _verifiable_edges
-
     for part, pieces in zip(parts, solved):
         stub = part.spec.exit
         recon = pieces.reconstruction
@@ -524,16 +500,8 @@ def _stitch(work, region, ddg, parts, solved):
         if unproven_site is None:
             unproven_site = pieces.unproven_site
 
-        edges = _verifiable_edges(pieces.ilp, pieces.final_solution)
-        verify_edges.extend(edges)
-        edge_set = set(edges)
-        verify_scopes.update(
-            {
-                edge: scope
-                for edge, scope in pieces.ilp.verify_scopes.items()
-                if edge in edge_set
-            }
-        )
+        verify_edges.extend(pieces.verify_edges)
+        verify_scopes.update(pieces.verify_scopes)
 
         part_size = pieces.phase1_size or {}
         for key in ("constraints", "variables", "nodes", "time"):
@@ -573,7 +541,7 @@ def _stitch(work, region, ddg, parts, solved):
         source_block=source_block,
         guards=guards,
     )
-    return StitchedPieces(
+    return _PipelineResult(
         ilp=None,
         final_solution=StitchedSolution(
             [pieces.final_solution for pieces in solved]
@@ -588,7 +556,6 @@ def _stitch(work, region, ddg, parts, solved):
         unproven_site=unproven_site,
         verify_edges=verify_edges,
         verify_scopes=verify_scopes,
-        partitions=len(parts),
     )
 
 

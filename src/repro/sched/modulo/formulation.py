@@ -33,10 +33,10 @@ max_stages·II − 1``.  Every cell outside it is zero in every feasible
 solution, so dropping it — and every dependence, lifetime or resource
 row the windows already satisfy — leaves the integer-feasible set and
 the optimum unchanged.  An empty window proves the II infeasible
-(``windows is None``); the model then spans the full grid, which the
-solver rejects, but the II ladder never hands it over.  The edge list
-from :func:`repro.sched.swp.build_modulo_edges` is already merged to
-one edge per (src, dst, distance), so no row is stated twice.
+(``windows is None``), and then no model is built (``model is None``).
+The edge list from :func:`repro.sched.swp.build_modulo_edges` is
+already merged to one edge per (src, dst, distance), so no row is
+stated twice.
 
 The objective minimizes ``Σ t_n``: flat schedules first, which keeps
 the stage count — and therefore prologue/epilogue size — small.
@@ -69,16 +69,15 @@ class ModuloIlp:
         )
         self.cells = {}  # instr -> [(start, binary Var)] in (row, stage) order
         self.start = {}  # instr -> LinExpr start time
-        self.model = self._build()
+        self.model = None if self.windows is None else self._build()
 
     # -- model ----------------------------------------------------------------
     def _build(self):
         ii, stages = self.ii, self.max_stages
         model = Model(f"modulo_ii{ii}")
-        domain = self.windows or dict.fromkeys(self.body, (0, self.horizon))
         rows = [[] for _ in range(ii)]
         for instr in self.body:
-            earliest, latest = domain[instr]
+            earliest, latest = self.windows[instr]
             cells = self.cells[instr] = []
             for row in range(ii):
                 for stage in range(stages):
@@ -93,7 +92,7 @@ class ModuloIlp:
             )
             self.start[instr] = lin_sum(start * var for start, var in cells
                                         if start)
-        add_dependence_rows(model, self.edges, ii, self.start, domain,
+        add_dependence_rows(model, self.edges, ii, self.start, self.windows,
                             self.horizon)
         add_reservation_rows(model, rows, self.machine.ports)
         # Flat schedules first: fewer stages, smaller prologue/epilogue.

@@ -222,7 +222,7 @@ def modulo_schedule(loop, body, edges, machine=ITANIUM2, max_ii=32,
             # Some start window is empty: the dependence and lifetime
             # rows alone rule this II out, so no solver is asked.
             attempts.append({"ii": ii, "status": "INFEASIBLE", "reason":
-                             "empty_window", "seconds": 0.0, **milp.size})
+                             "empty_window", "seconds": 0.0})
             continue
         with _span(trace, "swp.solve_ii", ii=ii) as span:
             solution = solve_model(

@@ -5,6 +5,13 @@ liveness / dependence analyses → baseline list schedule ("input
 schedule") → region + cycle ranges → ILP (with enabled extensions) →
 solve → reconstruct → bundling-cut loop → optional phase 2 → verify.
 
+``IlpScheduler._run_pipeline`` runs phase 1, the cut re-solves and phase
+2 over one region and returns a ``_PipelineResult``: the schedule plus
+the edge set and scopes it must verify against. A routine cut into
+partitions (:mod:`repro.sched.decompose`) runs it once per partition
+and stitches the runs into one result of the same type, so verification
+and grading never ask which path produced it.
+
 ``ScheduleFeatures`` mirrors the paper's experiment axes (Fig. 7):
 speculation, cyclic code motion and partial-ready code motion can be
 switched individually; predication, branch-collapse modeling and the
@@ -27,8 +34,10 @@ it walks a fallback ladder instead, recorded in ``OptimizeResult.quality``:
 ``"fallback_input"``
     the ILP pipeline could not produce a verified schedule at all (no
     incumbent, cycle-range or bundling-cut budgets exhausted, wall-clock
-    budget spent, or the verifier rejected the ILP schedule); the input
-    list schedule is returned unchanged.
+    budget spent, the verifier rejected the ILP schedule, or any stage
+    raised); the input list schedule is returned unchanged. Pipeline and
+    verification share one ``try``, so every such cause leaves through
+    the one exit, ``_input_fallback``.
 
 ``OptimizeResult.fallback_reason`` carries the structured cause, and one
 wall-clock :class:`~repro.tools.deadline.Deadline` built from
@@ -94,16 +103,22 @@ class FallbackReason:
 
 
 class _Degrade(Exception):
-    """Internal control flow: abandon the ILP pipeline, keep the input."""
+    """Internal control flow: abandon the ILP pipeline, keep the input.
 
-    def __init__(self, reason):
+    ``ilp_size`` is the phase-1 size to report when a model was solved
+    before the pipeline gave up."""
+
+    def __init__(self, reason, ilp_size=None):
         super().__init__(str(reason))
         self.reason = reason
+        self.ilp_size = ilp_size
 
 
 @dataclass
 class _PipelineResult:
-    """What a successful ILP pipeline run hands back to ``optimize``."""
+    """What a successful ILP pipeline run hands back to ``optimize``: one
+    whole-function run, or the stitch of one run per partition
+    (:mod:`repro.sched.decompose`, where ``ilp`` is None)."""
 
     ilp: object
     final_solution: object
@@ -115,6 +130,10 @@ class _PipelineResult:
     phase2_failure: FallbackReason | None
     statuses: list  # SolveStatus of solves contributing to the schedule
     unproven_site: str | None
+    # The edge set and scopes the path verifier checks the schedule
+    # against (see _verify_inputs).
+    verify_edges: list
+    verify_scopes: dict
 
 
 @dataclass(frozen=True)
@@ -155,16 +174,6 @@ class ScheduleFeatures:
             raise ValueError("swp_max_ii must be >= 1")
         if self.swp_max_stages < 1:
             raise ValueError("swp_max_stages must be >= 1")
-
-    @classmethod
-    def baseline_ilp(cls):
-        """Fig. 7 level 0: global motion only, no extensions."""
-        return cls(
-            speculation=False,
-            data_speculation=False,
-            cyclic=False,
-            partial_ready=False,
-        )
 
 
 @dataclass
@@ -435,79 +444,24 @@ class IlpScheduler:
                     work, region, input_schedule, deadline, messages, trace,
                     length_hint=length_hint,
                 )
+            verification = (
+                self._verify(pieces, region, messages, trace)
+                if features.verify
+                else None
+            )
         except faults.FaultConfigError:
             raise  # driver misconfiguration, not a routine failure
-        except _Degrade as exc:
-            return self._input_fallback(
-                work, region, input_schedule, bundles_in, undo_stats,
-                deadline, messages, exc.reason, trace=trace,
-            )
         except Exception as exc:  # graceful floor: a routine never fails
+            if not isinstance(exc, _Degrade):
+                exc = _Degrade(FallbackReason(
+                    "pipeline", "error", f"{type(exc).__name__}: {exc}"
+                ))
             return self._input_fallback(
                 work, region, input_schedule, bundles_in, undo_stats,
-                deadline, messages,
-                FallbackReason(
-                    "pipeline", "error", f"{type(exc).__name__}: {exc}"
-                ),
-                trace=trace,
+                deadline, messages, exc, trace,
             )
 
         quality, fallback_reason = self._grade(pieces)
-
-        verification = None
-        verify_edges = None
-        verify_scopes = None
-        if features.verify:
-            if getattr(pieces, "stitched", False):
-                # Decomposed results pre-merge their per-partition
-                # verifiable edges (plus cross-partition DDG edges).
-                verify_edges = pieces.verify_edges
-                verify_scopes = pieces.verify_scopes
-            else:
-                verify_edges = _verifiable_edges(
-                    pieces.ilp, pieces.final_solution
-                )
-                verify_scopes = {
-                    e: scope
-                    for e, scope in pieces.ilp.verify_scopes.items()
-                    if e in set(verify_edges)
-                }
-            with trace.span("verify"):
-                verification = verify_schedule(
-                    pieces.reconstruction.schedule,
-                    region,
-                    pieces.reconstruction,
-                    machine=self.machine,
-                    dep_edges=verify_edges,
-                    edge_scopes=verify_scopes,
-                )
-            injected = faults.fire("verify")
-            if injected is not None:
-                verification = VerificationReport(
-                    ok=False,
-                    problems=[f"injected verification fault ({injected})"],
-                    paths_checked=verification.paths_checked,
-                    exhaustive=verification.exhaustive,
-                )
-            if not verification.ok:
-                # Verified rollback: an unproven schedule is never emitted.
-                messages.append(
-                    "verification rejected the ILP schedule; "
-                    "rolled back to the input schedule"
-                )
-                problem = (
-                    verification.problems[0]
-                    if verification.problems
-                    else "schedule failed path verification"
-                )
-                return self._input_fallback(
-                    work, region, input_schedule, bundles_in, undo_stats,
-                    deadline, messages,
-                    FallbackReason("verify", "rejected", problem),
-                    ilp_size=pieces.phase1_size,
-                    trace=trace,
-                )
-
         return OptimizeResult(
             fn=work,
             input_schedule=input_schedule,
@@ -526,8 +480,46 @@ class IlpScheduler:
             quality=quality,
             fallback_reason=fallback_reason,
             trace=trace,
-            verify_edges=verify_edges,
-            verify_scopes=verify_scopes,
+            verify_edges=pieces.verify_edges if features.verify else None,
+            verify_scopes=pieces.verify_scopes if features.verify else None,
+        )
+
+    def _verify(self, pieces, region, messages, trace):
+        """Path-verify the pipeline's schedule against its own edge set.
+
+        A rejection raises ``_Degrade``: an unproven schedule is never
+        emitted (verified rollback)."""
+        with trace.span("verify"):
+            verification = verify_schedule(
+                pieces.reconstruction.schedule,
+                region,
+                pieces.reconstruction,
+                machine=self.machine,
+                dep_edges=pieces.verify_edges,
+                edge_scopes=pieces.verify_scopes,
+            )
+        injected = faults.fire("verify")
+        if injected is not None:
+            verification = VerificationReport(
+                ok=False,
+                problems=[f"injected verification fault ({injected})"],
+                paths_checked=verification.paths_checked,
+                exhaustive=verification.exhaustive,
+            )
+        if verification.ok:
+            return verification
+        messages.append(
+            "verification rejected the ILP schedule; "
+            "rolled back to the input schedule"
+        )
+        problem = (
+            verification.problems[0]
+            if verification.problems
+            else "schedule failed path verification"
+        )
+        raise _Degrade(
+            FallbackReason("verify", "rejected", problem),
+            ilp_size=pieces.phase1_size,
         )
 
     def _run_swp(self, fn, cfg, ddg, deadline, trace):
@@ -679,8 +671,9 @@ class IlpScheduler:
                 ))
             if ilp is None:
                 with trace.span("ilp.build"):
-                    build = self._ilp_factory(region, lengths, bundling_cuts)
-                    ilp, spec_groups = build()
+                    ilp, spec_groups = self._build_ilp(
+                        region, lengths, bundling_cuts
+                    )
                     model = ilp.generate()
             # A seeded re-solve is a warm-start hit; anything solved cold
             # (first solve, or after a rebuild dropped the incumbent) a miss.
@@ -695,14 +688,7 @@ class IlpScheduler:
                     incumbent=prev_values,
                     fault_site=site,
                 )
-                solve_span.set_attr("status", solution.status.name)
-                solve_span.set_attr("nodes", solution.stats.nodes)
-                if solution.stats.gap is not None:
-                    solve_span.set_attr("gap", solution.stats.gap)
-                timeline = solution.stats.gap_timeline
-                if timeline is not None and len(timeline):
-                    solve_span.set_attr("gap_timeline", timeline.as_dict())
-            trace.solves.append(insight.solve_telemetry(site, solution))
+                _record_solve(trace, solve_span, site, solution)
             if solution.status is SolveStatus.INFEASIBLE:
                 resize_attempts += 1
                 if resize_attempts > MAX_RESIZE_ATTEMPTS:
@@ -823,20 +809,7 @@ class IlpScheduler:
                     deadline=deadline,
                 )
                 if solution2 is not None:
-                    p2stats = solution2.stats
-                    p2span.set_attr("status", solution2.status.name)
-                    p2span.set_attr("nodes", p2stats.nodes)
-                    if p2stats.gap is not None:
-                        p2span.set_attr("gap", p2stats.gap)
-                    p2timeline = p2stats.gap_timeline
-                    if p2timeline is not None and len(p2timeline):
-                        p2span.set_attr(
-                            "gap_timeline", p2timeline.as_dict()
-                        )
-            if solution2 is not None:
-                trace.solves.append(
-                    insight.solve_telemetry("solve.phase2", solution2)
-                )
+                    _record_solve(trace, p2span, "solve.phase2", solution2)
             if solution2 is None:
                 phase2_failure = FallbackReason(
                     "solve.phase2", "no_solution",
@@ -865,6 +838,7 @@ class IlpScheduler:
                     ):
                         unproven_site = "solve.phase2"
 
+        verify_edges, verify_scopes = _verify_inputs(ilp, final_solution)
         return _PipelineResult(
             ilp=ilp,
             final_solution=final_solution,
@@ -876,6 +850,8 @@ class IlpScheduler:
             phase2_failure=phase2_failure,
             statuses=statuses,
             unproven_site=unproven_site,
+            verify_edges=verify_edges,
+            verify_scopes=verify_scopes,
         )
 
     def _grade(self, pieces):
@@ -892,16 +868,16 @@ class IlpScheduler:
 
     def _input_fallback(
         self, work, region, input_schedule, bundles_in, undo_stats,
-        deadline, messages, reason, ilp_size=None, trace=None,
+        deadline, messages, degrade, trace,
     ):
-        """The ladder's floor: return the (verified) input list schedule."""
-        features = self.features
+        """The ladder's floor: return the (verified) input list schedule
+        for the pipeline abandoned by ``degrade`` (a ``_Degrade``)."""
+        reason = degrade.reason
         messages = list(messages)
         messages.append(f"degraded to the input schedule ({reason})")
         verification = None
-        if features.verify:
-            span = trace.span("verify") if trace is not None else obs.NOOP_SPAN
-            with span:
+        if self.features.verify:
+            with trace.span("verify"):
                 verification = verify_schedule(
                     input_schedule, region, machine=self.machine
                 )
@@ -913,8 +889,8 @@ class IlpScheduler:
             "objective": None,
             "gap": None,
         }
-        if ilp_size:
-            size.update(ilp_size)
+        if degrade.ilp_size:
+            size.update(degrade.ilp_size)
         return OptimizeResult(
             fn=work,
             input_schedule=input_schedule,
@@ -936,34 +912,32 @@ class IlpScheduler:
         )
 
     # -- construction ----------------------------------------------------------
-    def _ilp_factory(self, region, lengths, bundling_cuts):
+    def _build_ilp(self, region, lengths, bundling_cuts):
+        """The phase-1 formulation with the enabled extensions attached;
+        returns ``(ilp, spec_groups)``."""
         features = self.features
+        ilp = SchedulingIlp(region, dict(lengths), self.machine)
+        ilp.bundling_cuts = list(bundling_cuts)
+        spec_groups = []
+        if features.speculation or features.data_speculation:
+            candidates = find_speculation_candidates(
+                region,
+                allow_control=features.speculation,
+                allow_data=features.data_speculation,
+            )
+            used = _used_registers(region.fn)
+            spec_groups = attach_speculation(ilp, candidates, used)
+        if features.cyclic:
+            from repro.sched.cyclic import attach_cyclic_motion
 
-        def build():
-            ilp = SchedulingIlp(region, dict(lengths), self.machine)
-            ilp.bundling_cuts = list(bundling_cuts)
-            spec_groups = []
-            if features.speculation or features.data_speculation:
-                candidates = find_speculation_candidates(
-                    region,
-                    allow_control=features.speculation,
-                    allow_data=features.data_speculation,
-                )
-                used = _used_registers(region.fn)
-                spec_groups = attach_speculation(ilp, candidates, used)
-            if features.cyclic:
-                from repro.sched.cyclic import attach_cyclic_motion
+            attach_cyclic_motion(ilp)
+        if features.partial_ready:
+            from repro.sched.partial_ready import attach_partial_ready
 
-                attach_cyclic_motion(ilp)
-            if features.partial_ready:
-                from repro.sched.partial_ready import attach_partial_ready
-
-                attach_partial_ready(ilp, spec_groups)
-            _mark_collapsible_branches(ilp)
-            _add_guard_dependences(ilp)
-            return ilp, spec_groups
-
-        return build
+            attach_partial_ready(ilp, spec_groups)
+        _mark_collapsible_branches(ilp)
+        _add_guard_dependences(ilp)
+        return ilp, spec_groups
 
 
 def apply_length_hint(lengths, hint):
@@ -993,8 +967,22 @@ def apply_length_hint(lengths, hint):
     }
 
 
-def _verifiable_edges(ilp, solution):
-    """Dependence edges the path verifier should check.
+def _record_solve(trace, span, site, solution):
+    """Attach a solve's outcome to its open span and to ``trace.solves``."""
+    stats = solution.stats
+    span.set_attr("status", solution.status.name)
+    span.set_attr("nodes", stats.nodes)
+    if stats.gap is not None:
+        span.set_attr("gap", stats.gap)
+    timeline = stats.gap_timeline
+    if timeline is not None and len(timeline):
+        span.set_attr("gap_timeline", timeline.as_dict())
+    trace.solves.append(insight.solve_telemetry(site, solution))
+
+
+def _verify_inputs(ilp, solution):
+    """``(edges, scopes)``: the dependence edges the path verifier should
+    check, and the verify scopes of those edges.
 
     Edges registered as verify-exempt are dropped when their controlling
     expression is active in the solution: those encode *cross-iteration*
@@ -1012,7 +1000,10 @@ def _verifiable_edges(ilp, solution):
         return float(expr) >= 0.5
 
     skip = {edge for edge, expr in ilp.verify_exempt if active(expr)}
-    return [e for e in ilp.dep_edges() if e not in skip]
+    edges = [e for e in ilp.dep_edges() if e not in skip]
+    kept = set(edges)
+    scopes = {e: scope for e, scope in ilp.verify_scopes.items() if e in kept}
+    return edges, scopes
 
 
 def _used_registers(fn):

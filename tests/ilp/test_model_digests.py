@@ -121,8 +121,8 @@ SCRIPT = "COMBO = " + repr(COMBO) + textwrap.dedent(
                               freq_cap=5.0, allow_predication=True)
         schedule = ListScheduler(ITANIUM2).schedule(work, ddg)
         lengths = lengths_from_input(schedule, work, reserve=features.reserve)
-        ilp, _ = IlpScheduler(features=features)._ilp_factory(
-            region, lengths, [])()
+        ilp, _ = IlpScheduler(features=features)._build_ilp(
+            region, lengths, [])
         model = ilp.generate()
         out = {"phase1": digest(model.to_arrays())}
         hosted = {}

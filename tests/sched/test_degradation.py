@@ -132,6 +132,39 @@ def test_corrupt_solution_without_phase2_rolls_back():
     assert result.verification.ok  # the fallback was re-verified clean
 
 
+def test_verifier_error_degrades_to_input_schedule(monkeypatch):
+    """A verifier that raises is a pipeline failure like any other: the
+    routine lands on the input schedule instead of raising."""
+    from repro.sched import scheduler
+
+    real = scheduler.verify_schedule
+    calls = []
+
+    def crash_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("verifier crashed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "verify_schedule", crash_once)
+    result = run(None)
+    assert result.quality == "fallback_input"
+    assert str(result.fallback_reason).startswith("pipeline:error")
+    assert result.output_schedule is result.input_schedule
+    assert result.verification.ok  # the fallback was re-verified clean
+
+
+def test_fault_config_error_from_the_verifier_propagates(monkeypatch):
+    from repro.sched import scheduler
+
+    def misconfigured(*args, **kwargs):
+        raise faults.FaultConfigError("malformed fault spec")
+
+    monkeypatch.setattr(scheduler, "verify_schedule", misconfigured)
+    with pytest.raises(faults.FaultConfigError):
+        run(None)
+
+
 # -- deadline budget ----------------------------------------------------------
 
 

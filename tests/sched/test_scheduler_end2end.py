@@ -61,13 +61,6 @@ def test_generated_routines_verify(seed):
     assert result.weighted_length_out <= result.weighted_length_in
 
 
-def test_feature_baseline_config():
-    features = ScheduleFeatures.baseline_ilp()
-    assert not features.speculation
-    assert not features.cyclic
-    assert not features.partial_ready
-
-
 def test_removed_feature_fields_are_gone():
     """The race's knobs and compact linking are not silently accepted."""
     for name, value in (

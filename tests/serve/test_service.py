@@ -232,6 +232,46 @@ def test_revalidation_quarantines_tampered_schedule(tmp_path, straight_fn):
     assert any("re-verification" in n or "failed" in n for n in outcome.notes)
 
 
+def test_decomposed_hit_reverifies_with_stitched_edges(tmp_path, monkeypatch):
+    from repro.ir.parser import parse_function
+    from tests.sched.test_decompose import CHAIN_TEXT
+
+    features = ScheduleFeatures(
+        time_limit=60, max_hops=4, decompose_min_instructions=1
+    )
+    svc = ScheduleService(tmp_path / "cache", default_features=features)
+    cold = svc.request(parse_function(CHAIN_TEXT))
+    assert "decomposed into 3 partitions" in cold.result.messages
+    assert cold.stored
+    stitched = cold.result.verify_edges
+    calls = []
+    real = service_mod.verify_schedule
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(service_mod, "verify_schedule", spy)
+    hit = svc.request(parse_function(CHAIN_TEXT))
+    assert hit.kind == "exact"
+    assert svc.solves == 1
+    assert len(calls) == 1
+    # The replayed edge set is the stored stitched one: every partition's
+    # verifiable edges plus the cross-partition dependences.
+    assert calls[0]["dep_edges"] is hit.result.verify_edges
+    assert len(calls[0]["dep_edges"]) == len(stitched) > 0
+    assert calls[0]["edge_scopes"] == (hit.result.verify_scopes or {})
+    block_of = {
+        p.instr: p.block for p in hit.result.output_schedule.placements()
+    }
+    assert any(
+        block_of[e.src] != block_of[e.dst]
+        for e in calls[0]["dep_edges"]
+        if e.src in block_of and e.dst in block_of
+    )
+    assert not any("re-verification" in n for n in hit.notes)
+
+
 def test_request_many_orders_and_coalesces(svc):
     fns = [
         generate_routine(
