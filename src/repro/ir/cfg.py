@@ -120,6 +120,35 @@ class CfgInfo:
     def successors_in_dag(self, name):
         return self.forward_succs[name]
 
+    def dag_paths(self, max_paths):
+        """Program paths through the block DAG, as ``(paths, exhaustive)``.
+
+        Each path is a list of block names from an entry to a block with
+        no forward successor; a path also ends at every exit block it
+        reaches, even one with forward successors. The walk is a
+        depth-first stack with a fixed order, so the first ``max_paths``
+        paths are the same on every call; ``exhaustive`` is False when the
+        cap cut the walk short.
+        """
+        paths = []
+        exhaustive = True
+        entries = self.entries or self.block_names[:1]
+        exit_set = set(self.exits)
+        stack = [(entry, [entry]) for entry in entries]
+        while stack:
+            node, path = stack.pop()
+            succs = self.forward_succs[node]
+            if not succs or node in exit_set:
+                paths.append(path)
+                if len(paths) >= max_paths:
+                    exhaustive = False
+                    break
+                if not succs:
+                    continue
+            for succ in succs:
+                stack.append((succ, path + [succ]))
+        return paths, exhaustive
+
     @property
     def dag_sinks(self):
         """Blocks without forward successors: exits plus loop latches.

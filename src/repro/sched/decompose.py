@@ -463,7 +463,10 @@ def _stitch(work, region, ddg, parts, solved):
     verify_scopes = {}
     phase2_failure = None
     unproven_site = None
-    size = {"constraints": 0, "variables": 0, "nodes": 0, "time": 0.0}
+    size = {
+        "constraints": 0, "chain_rows": 0, "variables": 0, "nodes": 0,
+        "time": 0.0,
+    }
     objective = 0.0
     has_objective = False
     gaps = []
@@ -504,7 +507,7 @@ def _stitch(work, region, ddg, parts, solved):
         verify_scopes.update(pieces.verify_scopes)
 
         part_size = pieces.phase1_size or {}
-        for key in ("constraints", "variables", "nodes", "time"):
+        for key in ("constraints", "chain_rows", "variables", "nodes", "time"):
             size[key] += part_size.get(key) or 0
         if part_size.get("objective") is not None:
             objective += part_size["objective"]

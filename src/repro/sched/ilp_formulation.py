@@ -35,6 +35,9 @@ from repro.machine.units import UnitKind
 
 _EMPTY = ((), (), 0.0)
 
+# Paths that get a chain row (the first ones of CfgInfo.dag_paths).
+_CHAIN_PATHS = 4000
+
 _UNIT_CAPS = (
     ((UnitKind.M,), "m_ports", "unitm"),
     ((UnitKind.I, UnitKind.L), "i_ports", "uniti"),
@@ -68,6 +71,10 @@ _ZERO_RHS = _rhs(0.0, 0.0)  # -0.0: "lhs <= rhs" with no constants
 
 def _is_const_zero(value):
     return isinstance(value, (int, float)) and value == 0
+
+
+def _is_const_one(value):
+    return isinstance(value, (int, float)) and value == 1
 
 
 @dataclass
@@ -125,6 +132,7 @@ class SchedulingIlp:
         self._lenbase = {}
         self._relax = None  # edge -> [(affine term, blocks | None)]
         self._no_a = set()  # (instr, block) whose a is the constant 0
+        self.chain_rows = 0  # rows _chain_rows emitted
 
         for instr in region.instructions:
             self.info[instr] = _InstrInfo(
@@ -288,6 +296,7 @@ class SchedulingIlp:
         self._branch_constraints()
         self._forced_copy_constraints()
         self._bundling_constraints()
+        self._chain_rows()
         self._objective()  # eq (7)
         return self.model
 
@@ -587,6 +596,86 @@ class SchedulingIlp:
                     _rhs(0.0, len(bases) - 1),
                     (f"bundle_cut{idx}", block, t),
                 )
+
+    def _chain_rows(self):
+        """Per-path dependence-chain rows: implied lower bounds on the
+        total length of each program path.
+
+        For a DAG path P (the verifier's walk, first ``_CHAIN_PATHS``
+        paths) let w be the largest number of latency >= 1 edges on one
+        dependence chain whose instructions all have their source block
+        on P. The row is ``Σ_{A∈P} Σ_t t·len[A,t] >= 1 + w``, emitted when
+        w >= 1.
+
+        Valid for every schedule the verifier accepts: every path through
+        s(n) executes a copy of n, and the last copy of n follows the last
+        copy of m on the path, ``lat`` cycles later within one block. On
+        P's concatenated timeline the last copies of a chain's members
+        therefore sit at cycles that rise by at least one per weighted
+        edge, starting at cycle 1. Only facts that hold in every solution
+        enter: instructions whose assignment right-hand side is the
+        constant 1, and dependence edges that run forward in program
+        order and carry no relaxation, verify scope, verify exemption or
+        local-only status.
+        """
+        cfg = self.region.cfg
+        exempt = {edge for edge, _expr in self.verify_exempt}
+        index = {}  # eligible instr -> position in its source block
+        for block in self.region.fn.blocks:
+            for pos, instr in enumerate(block.instructions):
+                info = self.info.get(instr)
+                if info is not None and _is_const_one(info.assign_rhs):
+                    index[instr] = pos
+        preds = {}  # instr -> {pred: weight}
+        for edge in self.dep_edges():
+            src, dst = edge.src, edge.dst
+            if src not in index or dst not in index:
+                continue
+            if (
+                edge in self.relax_terms
+                or edge in self.verify_scopes
+                or edge in exempt
+                or edge in self.local_only_edges
+            ):
+                continue
+            a, b = self.info[src].source, self.info[dst].source
+            if not (index[src] < index[dst] if a == b else cfg.reaches(a, b)):
+                continue  # not forward in program order
+            weight = 1 if edge.latency >= 1 else 0
+            into = preds.setdefault(dst, {})
+            if into.get(src, -1) < weight:
+                into[src] = weight
+        if not preds:
+            return
+        chained = preds.keys() | {m for into in preds.values() for m in into}
+        by_block = {}  # block -> chain members in program order
+        for instr in index:  # built in program order
+            if instr in chained:
+                by_block.setdefault(self.info[instr].source, []).append(instr)
+        paths, _exhaustive = cfg.dag_paths(_CHAIN_PATHS)
+        for number, path in enumerate(paths):
+            depth = {}
+            for block in path:
+                for instr in by_block.get(block, ()):
+                    best = 0
+                    for pred, weight in preds.get(instr, {}).items():
+                        d = depth.get(pred)
+                        if d is not None and d + weight > best:
+                            best = d + weight
+                    depth[instr] = best
+            longest = max(depth.values(), default=0)
+            if longest < 1:
+                continue
+            cols, coefs = [], []
+            for block in path:
+                first = self._lenbase[block]
+                cols += range(first + 1, first + self.lengths[block] + 1)
+                coefs += range(1, self.lengths[block] + 1)
+            self.model.add_row(
+                cols, [float(c) for c in coefs], Sense.GE, _rhs(0.0, 1.0 + longest),
+                ("chain", number),
+            )
+            self.chain_rows += 1
 
     def _objective(self):
         """Equation (7): frequency-weighted sum of block lengths."""

@@ -43,7 +43,7 @@ def minimize_instruction_count(
             model.add_constraint(
                 ilp.blen[(block, length)].to_expr() == 1, name=f"fixlen_{block}"
             )
-        model.set_objective(lin_sum(var for var in ilp.x.values()))
+        model.set_objective(_instruction_count(ilp))
         prep.set_attr("pinned_blocks", len(phase1_lengths))
     if obs.ENABLED:
         obs.counter("phase2_solves_total", 1)
@@ -60,3 +60,29 @@ def minimize_instruction_count(
             gap=solution.stats.gap,
         )
     return solution if solution else None
+
+
+def _instruction_count(ilp):
+    """Phase 2's objective: Σx, ties broken against stores leaving loops.
+
+    A copy of a store outside a loop that contains its source block
+    turns the loop's repeated writes into one. With n such ``x``
+    variables the objective is ``(n + 1)·Σx + Σ`` of them: the count
+    stays primary, and such a copy survives only where the pinned
+    lengths need it.
+    """
+    cfg = ilp.region.cfg
+    leaving = []
+    for (instr, block, _t), var in ilp.x.items():
+        if not instr.is_store:
+            continue
+        loop = cfg.innermost_loop(ilp.info[instr].source)
+        while loop is not None:
+            if block not in loop.blocks:
+                leaving.append(var)
+                break
+            loop = loop.parent
+    if not leaving:
+        return lin_sum(var for var in ilp.x.values())
+    weight = float(len(leaving) + 1)
+    return lin_sum(weight * var for var in ilp.x.values()) + lin_sum(leaving)

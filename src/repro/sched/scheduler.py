@@ -254,7 +254,8 @@ class OptimizeResult:
             f"  bundles {self.bundles_in.total_bundles} -> "
             f"{self.bundles_out.total_bundles}",
             f"  speculation possible/used: {self.spec_possible}/{self.spec_used}",
-            f"  ILP: {self.ilp_size.get('constraints', '?')} constraints, "
+            f"  ILP: {self.ilp_size.get('constraints', '?')} constraints "
+            f"({self.ilp_size.get('chain_rows', 0)} chain rows), "
             f"{self.ilp_size.get('variables', '?')} variables, "
             f"{self.ilp_size.get('nodes', '?')} B&B nodes, "
             f"{self.ilp_size.get('time', 0):.2f}s",
@@ -778,6 +779,7 @@ class IlpScheduler:
         phase1_objective = solution.objective
         phase1_size = {
             "constraints": model.num_constraints,
+            "chain_rows": ilp.chain_rows,
             "variables": model.num_variables,
             "nodes": solution.stats.nodes,
             "time": solution.stats.time_seconds,
@@ -871,18 +873,28 @@ class IlpScheduler:
         deadline, messages, degrade, trace,
     ):
         """The ladder's floor: return the (verified) input list schedule
-        for the pipeline abandoned by ``degrade`` (a ``_Degrade``)."""
+        for the pipeline abandoned by ``degrade`` (a ``_Degrade``). A
+        verifier that raises here leaves a failed report, not an
+        exception."""
         reason = degrade.reason
         messages = list(messages)
         messages.append(f"degraded to the input schedule ({reason})")
         verification = None
         if self.features.verify:
             with trace.span("verify"):
-                verification = verify_schedule(
-                    input_schedule, region, machine=self.machine
-                )
+                try:
+                    verification = verify_schedule(
+                        input_schedule, region, machine=self.machine
+                    )
+                except faults.FaultConfigError:
+                    raise
+                except Exception as exc:  # the floor itself never raises
+                    problem = f"verifier error: {type(exc).__name__}: {exc}"
+                    verification = VerificationReport(ok=False, problems=[problem])
+                    messages.append(f"input schedule not verified ({problem})")
         size = {
             "constraints": 0,
+            "chain_rows": 0,
             "variables": 0,
             "nodes": 0,
             "time": deadline.elapsed(),

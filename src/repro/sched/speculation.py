@@ -106,6 +106,7 @@ def attach_speculation(ilp, candidates, used_registers):
             continue
         _wire_group(ilp, group)
         spec_groups.append(group)
+    _wire_chained_groups(ilp, spec_groups)
     return spec_groups
 
 
@@ -254,6 +255,36 @@ def _wire_group(ilp, group):
                 new_edge = DepEdge(src, edge.dst, edge.kind, edge.latency)
                 ilp.add_edge(new_edge)
                 ilp.relax_edge(new_edge, one_minus)
+
+
+def _wire_chained_groups(ilp, spec_groups):
+    """Order the groups of chained loads against each other.
+
+    Each group is wired from DDG edges, which name only the original
+    loads. When load L1 feeds load L2 and both groups are used, L1 does
+    not execute, so nothing orders the ld.s of L2 after the group of L1
+    that now produces its address. Add that edge, and order L2's check
+    after L1's: L2's recovery re-executes its access, which needs the
+    address L1's recovery repaired. Both edges bind only when both
+    ``usespec`` are 1.
+    """
+    by_load = {group.original: group for group in spec_groups}
+    for first in spec_groups:
+        producer = first.mov if first.mov is not None else first.spec_load
+        wired = set()
+        for edge in ilp.region.ddg.succs(first.original):
+            second = by_load.get(edge.dst)
+            if second is None or edge.kind is not DepKind.TRUE or edge.dst in wired:
+                continue
+            wired.add(edge.dst)
+            lat = edge.latency if producer is first.spec_load else 1
+            for new_edge in (
+                DepEdge(producer, second.spec_load, DepKind.TRUE, lat, reg=edge.reg),
+                DepEdge(first.check, second.check, DepKind.TRUE, 0),
+            ):
+                ilp.add_edge(new_edge)
+                ilp.relax_edge(new_edge, 1 - first.usespec)
+                ilp.relax_edge(new_edge, 1 - second.usespec)
 
 
 def _speculative_theta(region, load, source):

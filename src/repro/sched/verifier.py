@@ -19,7 +19,9 @@ enumerating program paths through the acyclic block graph:
    in the last cycle of their source block;
 5. no block holds two copies of the same instruction.
 
-Path enumeration is exponential in general; it is capped and the report
+Path enumeration (:meth:`repro.ir.cfg.CfgInfo.dag_paths`, the walk the
+scheduling model's chain rows use too) is exponential in general; it is
+capped and the report
 says whether coverage was exhaustive (for the routine sizes of the paper
 it always is in our experiments).
 
@@ -192,7 +194,7 @@ def verify_schedule(
             )
         checks.append((k_src, k_dst, edge.latency, consumer_source, scope, edge))
 
-    paths, exhaustive = _enumerate_paths(region.cfg, max_paths)
+    paths, exhaustive = region.cfg.dag_paths(max_paths)
     multiply_ok = {}
     for path in paths:
         path_index = {}
@@ -324,23 +326,3 @@ def _last_in(copies, path_index):
     here = [(path_index[b], c, s) for b, c, s in copies if b in path_index]
     return max(here) if here else None
 
-
-def _enumerate_paths(cfg, max_paths):
-    paths = []
-    exhaustive = True
-    entries = cfg.entries or cfg.block_names[:1]
-    exit_set = set(cfg.exits)
-    stack = [(entry, [entry]) for entry in entries]
-    while stack:
-        node, path = stack.pop()
-        succs = cfg.successors_in_dag(node)
-        if not succs or node in exit_set:
-            paths.append(path)
-            if len(paths) >= max_paths:
-                exhaustive = False
-                break
-            if not succs:
-                continue
-        for succ in succs:
-            stack.append((succ, path + [succ]))
-    return paths, exhaustive

@@ -52,7 +52,9 @@ from repro.ir.registers import Register
 # speculation cost model, collapse and rollback switches, retry budgets).
 # serve-6: HiGHS became the only solver; backend, heuristic_effort,
 # predication and freq_cap left ScheduleFeatures.
-CODE_VERSION = "serve-6"
+# serve-7: per-path dependence-chain rows in the phase-1 model, and
+# ordering edges between the groups of chained speculated loads.
+CODE_VERSION = "serve-7"
 
 # ScheduleFeatures fields that steer the *solver*, not the model: two
 # requests differing only here want the same schedule, so they share a

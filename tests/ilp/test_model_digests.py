@@ -16,6 +16,14 @@ instruction's start window and leaves out the rows those windows imply,
 so it has its own pin (``windowed``), recorded when the windows came in.
 Every acyclic entry is unchanged.
 
+The phase-1 model later gained rows of two kinds: the per-path
+dependence-chain rows (``chain_*``), emitted after every other family,
+and the precedence rows of the edges that order the speculation groups
+of chained loads (``speculation._wire_chained_groups``). The acyclic
+digests are taken over the other rows, so they stay pinned to the table
+as recorded; the added rows have their own pin (``ADDED_GOLDEN``),
+recorded when they came in.
+
 The models are built in a subprocess with ``PYTHONHASHSEED=0``, because
 a few row families iterate sets of block names. Values are hashed as
 float64/int64 with ``-0.0`` folded into ``0.0`` (both are the same
@@ -108,6 +116,37 @@ SCRIPT = "COMBO = " + repr(COMBO) + textwrap.dedent(
             h.update(b"|")
         return h.hexdigest()
 
+    from repro.sched import speculation
+
+    wire_chained = speculation._wire_chained_groups
+    spec_pairs = set()  # (src uid, dst uid) of the chained-group edges
+
+    def recording(ilp, groups):
+        start = len(ilp.extra_edges)
+        wire_chained(ilp, groups)
+        spec_pairs.update(
+            (e.src.uid, e.dst.uid) for e in ilp.extra_edges[start:])
+
+    speculation._wire_chained_groups = recording
+
+    # (digest without the added rows, digest of the added rows alone,
+    # chain row count, chained-group row count); a bundling cut or
+    # phase-2 pin appended after generate() stays in the first part.
+    def split(model):
+        arrays = model.to_arrays()
+        chain, spec = [], []
+        for i, name in enumerate(model._row_names):
+            if name[0] == "chain":
+                chain.append(i)
+            elif name[0] in ("gprec", "lprec") and name[1:3] in spec_pairs:
+                spec.append(i)
+        added = sorted(chain + spec)
+        rest = sorted(set(range(model.num_constraints)) - set(added))
+        def rows(index):
+            return dict(arrays, A=arrays["A"][index],
+                        b_lo=arrays["b_lo"][index], b_hi=arrays["b_hi"][index])
+        return digest(rows(rest)), digest(rows(added)), len(chain), len(spec)
+
     class Captured(Exception):
         pass
 
@@ -121,10 +160,13 @@ SCRIPT = "COMBO = " + repr(COMBO) + textwrap.dedent(
                               freq_cap=5.0, allow_predication=True)
         schedule = ListScheduler(ITANIUM2).schedule(work, ddg)
         lengths = lengths_from_input(schedule, work, reserve=features.reserve)
+        spec_pairs.clear()
         ilp, _ = IlpScheduler(features=features)._build_ilp(
             region, lengths, [])
         model = ilp.generate()
-        out = {"phase1": digest(model.to_arrays())}
+        out = {}
+        (out["phase1"], out["added"], out["chain_rows"],
+         out["spec_chain_rows"]) = split(model)
         hosted = {}
         for (instr, block, t) in ilp.x:
             hosted.setdefault(block, [])
@@ -132,10 +174,10 @@ SCRIPT = "COMBO = " + repr(COMBO) + textwrap.dedent(
                 hosted[block].append(instr)
         block = max(sorted(hosted), key=lambda b: len(hosted[b]))
         ilp.append_bundling_cut([(i, block) for i in hosted[block][:3]])
-        out["cut"] = digest(model.to_arrays())
+        out["cut"] = split(model)[0]
 
         def capture(model, **kwargs):
-            out["phase2"] = digest(model.to_arrays())
+            out["phase2"] = split(model)[0]
             raise Captured
 
         phase2.solve_model = capture
@@ -143,7 +185,8 @@ SCRIPT = "COMBO = " + repr(COMBO) + textwrap.dedent(
             phase2.minimize_instruction_count(ilp, dict(lengths))
         except Captured:
             pass
-        out["size"] = [model.num_constraints, model.num_variables]
+        added = out["chain_rows"] + out["spec_chain_rows"]
+        out["size"] = [model.num_constraints - added, model.num_variables]
         out["cyc"] = sum(v.name.startswith("cyc_") for v in model.variables)
         out["usespec"] = sum(
             v.name.startswith("usespec_") for v in model.variables)
@@ -264,8 +307,51 @@ GOLDEN = {
 }
 
 
+ADDED_GOLDEN = {
+    "combo": {
+        "added": "4cc60037f0ef5cbf21698242b7c37ada26940079c8d2cd22e6a0e087d25f1176",
+        "chain_rows": 2,
+        "spec_chain_rows": 0,
+    },
+    "firstone": {
+        "added": "843f7db05d9f79651f1dceb1a472c2793b8bfd4a029f2beec4db5a57d1dd3b30",
+        "chain_rows": 1,
+        "spec_chain_rows": 0,
+    },
+    "g901": {
+        "added": "8aaeb713da0157b9385c06049ab380dc4df512ae3c62934c4a756288a408ac85",
+        "chain_rows": 2,
+        "spec_chain_rows": 26,
+    },
+    "g907": {
+        "added": "996b03ca813bbb880753f944daf699fac3f12d085658fc7c85c1edc091ef2e9c",
+        "chain_rows": 4,
+        "spec_chain_rows": 0,
+    },
+    "get_heap_head": {
+        "added": "783e200b5dee7093190462d4a86340e3b36540c2d7ec6c6249a6c31c818543bf",
+        "chain_rows": 1,
+        "spec_chain_rows": 0,
+    },
+    "send_bits": {
+        "added": "731524f969313645970c4dfed971153a9989c238107358eeeca942bd5e0581aa",
+        "chain_rows": 1,
+        "spec_chain_rows": 0,
+    },
+}
+
+
 def test_models_are_array_identical_to_the_recorded_digests():
     digests = _build_digests()
     combo = digests["combo"]
     assert combo["cyc"] and combo["usespec"] and combo["once"]
+    added = {
+        name: {
+            key: entry.pop(key)
+            for key in ("added", "chain_rows", "spec_chain_rows")
+        }
+        for name, entry in digests.items()
+        if "added" in entry
+    }
     assert digests == GOLDEN
+    assert added == ADDED_GOLDEN

@@ -154,6 +154,23 @@ def test_verifier_error_degrades_to_input_schedule(monkeypatch):
     assert result.verification.ok  # the fallback was re-verified clean
 
 
+def test_always_raising_verifier_still_returns_the_input_schedule(monkeypatch):
+    """The floor re-verifies the input schedule; when that verifier call
+    raises too, the error lands in the result, not in the caller."""
+    from repro.sched import scheduler
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("verifier crashed")
+
+    monkeypatch.setattr(scheduler, "verify_schedule", crash)
+    result = run(None)
+    assert result.quality == "fallback_input"
+    assert result.output_schedule is result.input_schedule
+    assert not result.verification.ok
+    assert "RuntimeError: verifier crashed" in result.verification.problems[0]
+    assert any("not verified" in m for m in result.messages)
+
+
 def test_fault_config_error_from_the_verifier_propagates(monkeypatch):
     from repro.sched import scheduler
 

@@ -111,10 +111,13 @@ def test_collapse_semantics_preserved():
 # loaded every iteration sunk below its loop (5623); a consumer of a
 # cyclically moved instruction hoisted above the loop with its pre-loop
 # copy (20001); a use of two mov-carrying speculated loads rewritten for
-# one of them only (265180).
+# one of them only (265180); a speculated load whose address comes from
+# another speculated load issued before that load (738967, 954647).
 @example(seed=5623)
 @example(seed=20001)
 @example(seed=265180)
+@example(seed=738967)
+@example(seed=954647)
 @settings(
     max_examples=16,
     deadline=None,
@@ -131,6 +134,37 @@ def test_random_routines_semantics_preserved(seed):
     )
     fn = generate_routine(spec)
     _differential(fn, seeds=(0, 5))
+
+
+def test_chained_speculated_loads_keep_their_order():
+    """``ld8 r50 = [r49+24]`` reads the result of ``ld8 r49``, and both
+    are speculation candidates. With both groups used, the second ld.s
+    must still follow the value of the first group (here its ``mov``);
+    without that edge it issued in the first ld.s's cycle and read a
+    stale r49."""
+    text = """
+.proc chained
+.livein r41, r42, r46, r121
+.liveout r49, r50, r51
+.block B1 freq=4000 succ=B3:0.25,B2:0.75
+  cmp.ge p16, p17 = r121, 4
+  (p16) br.cond B3
+.block B2 freq=3000 succ=B1:1
+  adds r121 = r121, 1
+  br B1
+.block B3 freq=1000 succ=B5:0.371,B4:0.629
+  cmp.eq p18, p19 = r41, r0
+  (p18) br.cond B5
+.block B4 freq=629 succ=B5:1
+  st8 [r46] = r42 cls=stack
+.block B5 freq=1000
+  ld8 r49 = [r42+24] cls=glob
+  ld8 r50 = [r49+24] cls=heap
+  sub r51 = r50, r41
+  br.ret b0
+.endp
+"""
+    _differential(parse_function(text), seeds=(0, 1, 2, 5))
 
 
 def test_store_value_sequences_preserved():

@@ -305,14 +305,14 @@ GOLDEN = [
     (
         generate_routine,
         RoutineSpec(name="g0", seed=0, instructions=12, blocks=3),
-        "fbec91004681f226d3728bbd9a37e726959f5a3e6e75fdfbd9561e45d286b9a3",
-        "8f23eaa9a8033f841fbebf492bba4ccaaebc54ca07505b7937e6a79d5140a0f6",
+        "039d5c96093c5370a6272a40fc52aef921af52afc6eeb87cbd357496a32476d8",
+        "7c808705de85d723fd0153f2df622158cd283e8a22f782097666d2c77377732c",
     ),
     (
         generate_routine,
         RoutineSpec(name="g1", seed=1),
-        "2512952d474374e4ab9ff8168c0521c16902faa7d7173a7803d6a287de5157eb",
-        "290f8d2ccebd6649eff21a4b397f884636929b1146822234615b20e56c1c9187",
+        "b61f46628ec720ab432e34a2eb2ebf6ef51f201e31f218504e9b5f64fb11931a",
+        "1c96570658ef8badc25b0f6824653497e1bc75143071b25c73c031f3ef4b1420",
     ),
     (
         generate_routine,
@@ -320,20 +320,20 @@ GOLDEN = [
             name="g2", seed=2, instructions=40, blocks=6, loops=2,
             input_spec_loads=2,
         ),
-        "63107f14f2b7b2791c3deae0d0990b7e8809e053f21f369f8daf158118c3baae",
-        "432e903bd565c1d2458e1d976b431e6b6e8080f86c5dfea44b106cb8fe581873",
+        "d991405ec1ba451da5f2eb3b4d3d2b275dd430e62acc688480344838f1915da5",
+        "6e139971141cc2b8b7b80f307672df44030b2631470ff2b23ebb68cbfdbe652b",
     ),
     (
         generate_routine,
         RoutineSpec(name="g3", seed=3, instructions=150, blocks=16),
-        "55cf90504e6d0bf7a3b32d13303920cad5acebc518204370117f4800bfc51d17",
-        "8767524e7fd49680a410e7e2a624315af2e6d1c8d84de77adefd77e6a43fc697",
+        "ad453afc84f42b5171bce5cf37cc1271b635a1f3f881bba34fa7d4c60a1a43de",
+        "8f294af9bc10d5080dc7e4c55f6892222c46dbc0c08b2c6a891222222d68c7ea",
     ),
     (
         generate_loop_dominated,
         LoopDominatedSpec(name="g4", seed=4),
-        "519857ddffff33ba3e163415f13c066fc83c91d426e61db06c48569b3a203cf6",
-        "c7419f64cbb782e38abfe8bd3be7d6fd7677191c268e60f176da67b9f0e32622",
+        "c34ae14b48de09459fa4d38d534052e26ad59bf4ac1fc3289a191d9d8502a0f8",
+        "0e3eddcf2bfa2ff18fb8c085a5e927a45beba9f70f505be60c36d9224179cec9",
     ),
     (
         generate_multi_region,
@@ -341,8 +341,8 @@ GOLDEN = [
             name="g5", seed=5, segments=3, segment_instructions=14,
             segment_blocks=5,
         ),
-        "8087b87b2480ceb0b63cc4b52301a8233816995f20e233a30414113011903709",
-        "40e2636efdb6e007d866bb4cd05591bcff7ac289dd09ef34a238211709fe1987",
+        "70c734f0ffa20bd801492078a5ff80946e838b53bd827dd32e302392dc20f372",
+        "5a5d9d5f08eee238eda2be2500c21dc60e420c03b7ed383a07f78b2cea5febef",
     ),
 ]
 

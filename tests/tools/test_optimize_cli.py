@@ -119,6 +119,9 @@ def test_report_includes_phase_breakdown(asm_file, capsys):
 # B holds one movable add and an unconditional branch to D; C, not D,
 # follows it in layout. Once the solver hoists the add and empties B, the
 # branch is dropped (Sec. 5.4), so the emitted B must branch to D itself.
+# B and C weigh 60 each against A's 100, so hoisting both adds into A
+# (one more cycle of A) beats keeping them (a cycle each of B and C);
+# with weights that sum to A's the two schedules tie.
 LOST_FALL_THROUGH = """
 .proc ft
 .livein r32, r33
@@ -127,10 +130,10 @@ LOST_FALL_THROUGH = """
   add r14 = r32, r33
   cmp.eq p6, p7 = r14, r0
   (p6) br.cond C
-.block B freq=50
+.block B freq=60
   add r15 = r32, 1
   br D
-.block C freq=50
+.block C freq=60
   add r15 = r33, 2
 .block D freq=100
   add r8 = r15, r14
