@@ -100,6 +100,8 @@ METRIC_HELP = {
     "bundling_cuts_per_routine":
         "bundling cuts appended over one routine's cut loop",
     "cache_hits_total": "schedule-cache requests by hit kind",
+    "cache_family_certified_total":
+        "family requests served from a certified sibling optimum, no solve",
     "coalesced_requests_total":
         "requests answered by another request's in-flight solve",
     "cache_store_writes_total": "cache entries published to the store",

@@ -19,6 +19,8 @@ Module map (paper section in parentheses):
   (Theorem 1; also usable on heuristic schedules, Sec. 7),
 * :mod:`repro.sched.list_scheduler` — the heuristic baseline standing in
   for the production compiler,
+* :mod:`repro.sched.certify` — serving a profile variant from a
+  sibling's proven optimum when a certificate shows it stays optimal,
 * :mod:`repro.sched.scheduler` — the postpass driver tying it together.
 """
 

@@ -59,6 +59,7 @@ from repro.ir.liveness import compute_liveness
 from repro.ir.rename import rename_registers
 from repro.machine.itanium2 import ITANIUM2
 from repro.bundle import bundle_schedule
+from repro.sched import certify
 from repro.sched.cycles import grow_lengths, lengths_from_input
 from repro.sched.ilp_formulation import SchedulingIlp
 from repro.sched.list_scheduler import ListScheduler
@@ -134,6 +135,9 @@ class _PipelineResult:
     # against (see _verify_inputs).
     verify_edges: list
     verify_scopes: dict
+    # What a profile variant may reuse of this run (repro.sched.certify);
+    # made only for a run that was handed ``family`` records.
+    family_record: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -212,6 +216,9 @@ class OptimizeResult:
     # repro.sched.modulo.ladder.LoopPipelineOutcome per counted loop.
     # The acyclic output_schedule is never altered by this step.
     swp_outcomes: list = field(default_factory=list)
+    # The repro.sched.certify record a profile variant of this routine
+    # may be served from; set only on the serving path (``family``).
+    family_record: dict | None = None
 
     # -- headline metrics -------------------------------------------------------
     @property
@@ -322,12 +329,19 @@ class OptimizeResult:
 class IlpScheduler:
     """ILP-based global scheduler with the paper's extensions."""
 
-    def __init__(self, machine=ITANIUM2, features=None, partition_store=None):
+    def __init__(
+        self, machine=ITANIUM2, features=None, partition_store=None,
+        family=None,
+    ):
         self.machine = machine
         self.features = features or ScheduleFeatures()
         # Optional repro.serve.store.ScheduleStore: the decomposed
         # pipeline publishes/consumes per-partition length hints here.
         self.partition_store = partition_store
+        # Serving path only: repro.sched.certify records of solved family
+        # siblings (possibly none). A whole-function run then first tries
+        # to serve the routine from one of them, and records its own.
+        self.family = family
 
     # -- public -----------------------------------------------------------------
     def optimize(self, fn, length_hint=None):
@@ -344,7 +358,10 @@ class IlpScheduler:
         blocks get their initial cycle range *tightened* to the hint
         (never widened), shrinking the ILP; if the hint turns out
         infeasible for this routine, the normal cycle-range growth
-        ladder recovers."""
+        ladder recovers.  A scheduler built with ``family`` records
+        tries those first: a sibling optimum that provably stays optimal
+        is served without a solve (:mod:`repro.sched.certify`), and the
+        hint applies only when none does."""
         deadline = Deadline(self.features.time_limit)
         trace = obs.Trace()
         with trace.span("optimize", routine=fn.name) as root_span:
@@ -443,7 +460,7 @@ class IlpScheduler:
             if pieces is None:
                 pieces = self._run_pipeline(
                     work, region, input_schedule, deadline, messages, trace,
-                    length_hint=length_hint,
+                    length_hint=length_hint, family=self.family,
                 )
             verification = (
                 self._verify(pieces, region, messages, trace)
@@ -483,6 +500,7 @@ class IlpScheduler:
             trace=trace,
             verify_edges=pieces.verify_edges if features.verify else None,
             verify_scopes=pieces.verify_scopes if features.verify else None,
+            family_record=pieces.family_record,
         )
 
     def _verify(self, pieces, region, messages, trace):
@@ -633,32 +651,54 @@ class IlpScheduler:
     # -- pipeline ---------------------------------------------------------------
     def _run_pipeline(
         self, work, region, input_schedule, deadline, messages, trace,
-        length_hint=None,
+        length_hint=None, family=None,
     ):
         """Phase 1 + bundling-cut loop + phase 2; raises ``_Degrade`` when
-        no ILP schedule can be produced within the budgets."""
+        no ILP schedule can be produced within the budgets.
+
+        With ``family`` (records of solved siblings, possibly none) the
+        run starts from its unhinted phase-1 model: a sibling optimum that
+        :mod:`repro.sched.certify` proves optimal for it is served with
+        no solve. Otherwise the run goes on as without, and records its
+        own optimum when that qualifies as a source."""
         features = self.features
-        lengths = lengths_from_input(
+        lengths = unhinted = lengths_from_input(
             input_schedule, work, reserve=features.reserve
         )
-        if length_hint:
-            tightened = apply_length_hint(lengths, length_hint)
-            if tightened is not None:
-                lengths = tightened
-                trace.count("family_hint_applied")
-                messages.append(
-                    "seeded cycle ranges from a cache-family near miss"
-                )
-        bundling_cuts = []
-        resize_attempts = 0
-        bundle_retries = 0
+        tightened = apply_length_hint(lengths, length_hint) if length_hint else None
         # The built (ilp, model) pair is cached across cut-loop re-solves:
         # a violated bundle only appends its cut rows to the existing model
         # (and its cached matrix form) instead of regenerating the whole
         # formulation. A cycle-range growth changes the variable set, so it
         # invalidates the cache and rebuilds.
-        ilp = model = None
+        ilp = model = digest = None
         spec_groups = []
+        if family is not None:
+            with trace.span("ilp.build"):
+                ilp, spec_groups = self._build_ilp(region, lengths, [])
+                candidates = [r for r in family if certify.certifies(ilp, r)]
+                # The unhinted model is worth generating to check a
+                # candidate, or because it is the model solved below.
+                if candidates or tightened is None or tightened == lengths:
+                    model = ilp.generate()
+            if model is not None:
+                arrays = model.to_arrays()
+                digest = certify.feasible_digest(arrays)
+                reused = candidates and self._reuse_family(
+                    ilp, spec_groups, arrays, digest, candidates, messages,
+                    trace,
+                )
+                if reused:
+                    return reused
+        if tightened is not None:
+            if tightened != lengths:
+                ilp = model = None
+            lengths = tightened
+            trace.count("family_hint_applied")
+            messages.append("seeded cycle ranges from a cache-family near miss")
+        bundling_cuts = []
+        resize_attempts = 0
+        bundle_retries = 0
         prev_values = None
         # Cut-effectiveness attribution: the objective before a cut was
         # appended, resolved against the next successful re-solve.
@@ -776,16 +816,7 @@ class IlpScheduler:
         unproven_site = (
             site if solution.status is not SolveStatus.OPTIMAL else None
         )
-        phase1_objective = solution.objective
-        phase1_size = {
-            "constraints": model.num_constraints,
-            "chain_rows": ilp.chain_rows,
-            "variables": model.num_variables,
-            "nodes": solution.stats.nodes,
-            "time": solution.stats.time_seconds,
-            "objective": phase1_objective,
-            "gap": solution.stats.gap,
-        }
+        phase1_size = _phase1_size(ilp, solution)
         final_solution = solution
         phase2_applied = False
         phase2_failure = None
@@ -840,6 +871,18 @@ class IlpScheduler:
                     ):
                         unproven_site = "solve.phase2"
 
+        family_record = None
+        if (
+            digest is not None
+            and lengths == unhinted
+            and not resize_attempts
+            and not bundling_cuts
+            and (phase2_applied or not features.two_phase)
+            and all(s is SolveStatus.OPTIMAL for s in statuses)
+        ):
+            family_record = certify.family_record(
+                ilp, digest, solution, final_solution if phase2_applied else None
+            )
         verify_edges, verify_scopes = _verify_inputs(ilp, final_solution)
         return _PipelineResult(
             ilp=ilp,
@@ -854,6 +897,54 @@ class IlpScheduler:
             unproven_site=unproven_site,
             verify_edges=verify_edges,
             verify_scopes=verify_scopes,
+            family_record=family_record,
+        )
+
+    def _reuse_family(
+        self, ilp, spec_groups, arrays, digest, family, messages, trace
+    ):
+        """The pipeline result served from a certified sibling optimum
+        with no solve, or ``None``.
+
+        ``ilp`` is the generated unhinted phase-1 model, ``arrays`` its
+        matrix form, ``digest`` their feasible-set digest and ``family``
+        the sibling records :func:`certify.certifies` accepted. The phase-1
+        optimum is only read for its lengths and objective: with phase 2
+        on, the schedule is rebuilt from the transplanted phase-2 optimum
+        alone, and the phase-2 model is never built.
+        """
+        with trace.span("family.certify"):
+            found = certify.reuse(
+                ilp, arrays, digest, family, self.features.two_phase
+            )
+        if found is None:
+            return None
+        phase1, phase2 = found
+        final = phase2 or phase1
+        try:
+            reconstruction = reconstruct_schedule(ilp, final, spec_groups)
+            with trace.span("bundle"):
+                bundles_out = bundle_schedule(reconstruction.schedule)
+        except (BundlingError, SchedulingError) as exc:
+            messages.append(f"certified family optimum not reusable: {exc}")
+            return None
+        trace.count("family_certified")
+        messages.append("served from a certified family sibling (no solve)")
+        verify_edges, verify_scopes = _verify_inputs(ilp, final)
+        return _PipelineResult(
+            ilp=ilp,
+            final_solution=final,
+            reconstruction=reconstruction,
+            spec_groups=spec_groups,
+            bundles_out=bundles_out,
+            phase1_size=_phase1_size(ilp, phase1),
+            phase2_applied=phase2 is not None,
+            phase2_failure=None,
+            statuses=[final.status],
+            unproven_site=None,
+            verify_edges=verify_edges,
+            verify_scopes=verify_scopes,
+            family_record=certify.family_record(ilp, digest, phase1, phase2),
         )
 
     def _grade(self, pieces):
@@ -976,6 +1067,21 @@ def apply_length_hint(lengths, hint):
     return {
         name: max(1, min(own, max(cleaned[name], 1)))
         for name, own in lengths.items()
+    }
+
+
+def _phase1_size(ilp, solution):
+    """The phase-1 model's size and ``solution``'s search stats, as
+    ``OptimizeResult.ilp_size`` reports them."""
+    stats = solution.stats
+    return {
+        "constraints": ilp.model.num_constraints,
+        "chain_rows": ilp.chain_rows,
+        "variables": ilp.model.num_variables,
+        "nodes": stats.nodes,
+        "time": stats.time_seconds,
+        "objective": solution.objective,
+        "gap": stats.gap,
     }
 
 

@@ -78,6 +78,7 @@ def _serve_stats(outcomes):
     kinds = {"exact": 0, "family": 0, "miss": 0}
     latency = {k: [] for k in kinds}
     coalesced = 0
+    certified = 0
     tiers = {}
     for outcome in outcomes:
         # setdefault on *both* maps: an outcome kind outside the three
@@ -86,11 +87,14 @@ def _serve_stats(outcomes):
         kinds[outcome.kind] += 1
         latency.setdefault(outcome.kind, []).append(outcome.elapsed)
         coalesced += outcome.coalesced
+        certified += outcome.certified
         tiers[outcome.result.quality] = tiers.get(outcome.result.quality, 0) + 1
     total = len(outcomes)
     return {
         "requests": total,
-        "hits": kinds,
+        # "certified": family requests served from a sibling's proven
+        # optimum with no solve (repro.sched.certify).
+        "hits": dict(kinds, certified=certified),
         "hit_rate": (kinds["exact"] + kinds["family"]) / total if total else 0.0,
         "coalesced": coalesced,
         "quality_tiers": tiers,

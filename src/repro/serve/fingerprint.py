@@ -54,7 +54,10 @@ from repro.ir.registers import Register
 # predication and freq_cap left ScheduleFeatures.
 # serve-7: per-path dependence-chain rows in the phase-1 model, and
 # ordering edges between the groups of chained speculated loads.
-CODE_VERSION = "serve-7"
+# serve-8: family requests may be served from a certified sibling
+# optimum (repro.sched.certify), and entries carry its record; hinted
+# entries of older versions may carry a longer schedule marked optimal.
+CODE_VERSION = "serve-8"
 
 # ScheduleFeatures fields that steer the *solver*, not the model: two
 # requests differing only here want the same schedule, so they share a

@@ -19,11 +19,19 @@ service resolves it through four layers, cheapest first:
    one whose limit is looser than a deadline-tightened leader's does
    not take that leader's answer unless it is ``optimal``: it solves
    itself.
-3. **Family warm start** — on a miss, the coarse family fingerprint
-   finds near-miss siblings; the freshest sibling's achieved block
-   lengths seed the cycle ranges of the cold solve
-   (``length_hint`` on :meth:`IlpScheduler.optimize`), shrinking the
-   ILP without ever widening it.
+3. **Family reuse** — on a miss, the coarse family fingerprint finds
+   near-miss siblings.  The scheduler first builds the request's
+   unhinted phase-1 model; when its feasible set is byte-identical to
+   an eligible sibling's and the sibling's optimum provably stays
+   optimal under the request's block frequencies
+   (:mod:`repro.sched.certify`), that optimum and its phase-2 optimum
+   are served with no solve — an exact answer.  Eligible siblings were
+   solved to optimality on their unhinted model with no bundling cut or
+   range growth; their stored header carries the record.  Otherwise
+   the freshest sibling's achieved block lengths seed the cycle ranges
+   of the cold solve (``length_hint`` on :meth:`IlpScheduler.optimize`),
+   shrinking the ILP without ever widening it; such a hint can cut off
+   the cold optimum, so that answer is not guaranteed optimal.
 4. **Cold solve** — admission-controlled by a semaphore sized against
    the machine (the same budget reasoning as the
    :mod:`repro.tools.parallel` process pool: more concurrent solves
@@ -96,6 +104,7 @@ class ServeOutcome:
     elapsed: float
     coalesced: bool = False  # answered by another request's flight
     stored: bool = False  # this request filled the cache
+    certified: bool = False  # served from a certified family sibling
     notes: list = field(default_factory=list)
 
     def summary(self):
@@ -376,9 +385,18 @@ class ScheduleService:
             self._observe("exact", outcome.elapsed)
             return outcome
 
-        hint = self._family_hint(key, family, notes)
-        kind = "family" if hint else "miss"
-        result, solved_features = self._cold_solve(fn, limited, hint, started)
+        hint, records = self._family_siblings(key, family)
+        kind = "family" if hint or records else "miss"
+        result, solved_features = self._cold_solve(
+            fn, limited, hint, records, started
+        )
+        certified = result.trace.counters.get("family_certified", 0) > 0
+        if certified:
+            notes.append("served from a certified family sibling")
+            if obs.ENABLED:
+                obs.counter("cache_family_certified_total")
+        elif hint:
+            notes.append("cycle ranges seeded from a family near miss")
         stored = self._maybe_store(
             key, family, result, solved_features, notes,
             tightened=limited is not features,
@@ -392,6 +410,7 @@ class ScheduleService:
             family=family,
             elapsed=elapsed,
             stored=stored,
+            certified=certified,
             notes=notes,
         )
 
@@ -464,31 +483,41 @@ class ScheduleService:
                 return None
         return result
 
-    def _family_hint(self, key, family, notes):
-        """Achieved block lengths of the freshest family sibling."""
+    def _family_siblings(self, key, family):
+        """``(hint, records)`` from the family's stored siblings: the
+        freshest sibling's achieved block lengths (or ``None``) and every
+        sibling's :mod:`repro.sched.certify` record, freshest first."""
         try:
             members = self.store.family_members(family)
         except OSError:
-            return None
-        best = None
+            return None, []
+        siblings = []
         for member in members:
             if member == key:
                 continue
             header = self.store.load_header(member)
-            if not header or header.get("code_version") != CODE_VERSION:
-                continue
-            lengths = header.get("block_lengths")
-            if not isinstance(lengths, dict) or not lengths:
-                continue
-            if best is None or header.get("created", 0) > best[0]:
-                best = (header.get("created", 0), lengths)
-        if best is None:
-            return None
-        notes.append("cycle ranges seeded from a family near miss")
-        return best[1]
+            if header and header.get("code_version") == CODE_VERSION:
+                siblings.append(header)
+        siblings.sort(key=lambda header: header.get("created", 0), reverse=True)
+        hint = next(
+            (
+                header["block_lengths"] for header in siblings
+                if isinstance(header.get("block_lengths"), dict)
+                and header["block_lengths"]
+            ),
+            None,
+        )
+        records = [
+            header["family_record"] for header in siblings
+            if _well_formed(header.get("family_record"))
+        ]
+        return hint, records
 
-    def _cold_solve(self, fn, features, hint, started):
-        """Admission-controlled solve; queue wait burns request budget."""
+    def _cold_solve(self, fn, features, hint, records, started):
+        """Admission-controlled solve; queue wait burns request budget.
+
+        ``records`` are the family siblings' certificate records (see
+        :meth:`_family_siblings`)."""
         with obs.span("serve.solve", routine=fn.name):
             budget = features.time_limit
             self._queued += 1
@@ -512,7 +541,7 @@ class ScheduleService:
                 if obs.ENABLED:
                     obs.counter("serve_admission_timeouts_total")
                 features = replace(features, time_limit=1e-6)
-                return self._optimize(fn, features, hint), features
+                return self._optimize(fn, features, hint, None), features
             try:
                 if budget is not None:
                     remaining = max(
@@ -520,14 +549,14 @@ class ScheduleService:
                     )
                     features = replace(features, time_limit=remaining)
                 self.solves += 1
-                return self._optimize(fn, features, hint), features
+                return self._optimize(fn, features, hint, records), features
             finally:
                 self._solve_slots.release()
 
-    def _optimize(self, fn, features, hint):
+    def _optimize(self, fn, features, hint, records):
         scheduler = IlpScheduler(
             machine=self.machine, features=features,
-            partition_store=self.store,
+            partition_store=self.store, family=records,
         )
         return scheduler.optimize(fn, length_hint=hint)
 
@@ -566,6 +595,8 @@ class ScheduleService:
             "solve_seconds": result.ilp_size.get("time"),
             "time_limit": features.time_limit,
         }
+        if result.quality == "optimal" and result.family_record is not None:
+            meta["family_record"] = result.family_record
         with obs.span("serve.store"):
             try:
                 self.store.put(key, family, payload, meta)
@@ -595,15 +626,38 @@ def _slim(result):
     """
     solution = result.solution
     if solution is None:
-        return result
+        return replace(result, family_record=None)
     values = {
         g.usespec: solution.values[g.usespec]
         for g in result.spec_groups
         if g.usespec in solution.values
     }
-    return replace(result, solution=Solution(
+    return replace(result, family_record=None, solution=Solution(
         solution.status, solution.objective, values, solution.stats
     ))
+
+
+def _well_formed(record):
+    """Is ``record`` shaped like a :func:`repro.sched.certify.family_record`
+    (headers are read back from disk, so check before use)?"""
+    if not isinstance(record, dict):
+        return False
+
+    def ints(values):
+        return isinstance(values, list) and all(type(v) is int for v in values)
+
+    freqs, lengths = record.get("freqs"), record.get("lengths")
+    phase2, objective2 = record.get("phase2"), record.get("objective2")
+    return (
+        isinstance(record.get("digest"), str)
+        and isinstance(freqs, dict)
+        and all(isinstance(f, (int, float)) for f in freqs.values())
+        and isinstance(lengths, dict)
+        and ints(list(lengths.values()))
+        and ints(record.get("phase1"))
+        and (phase2 is None or ints(phase2))
+        and (objective2 is None or isinstance(objective2, (int, float)))
+    )
 
 
 def cached_optimize(fn, features=None, cache_dir=None, machine=ITANIUM2):

@@ -7,10 +7,12 @@ import threading
 
 import pytest
 
+from repro.ir.printer import format_function
 from repro.serve import protocol
 from repro.serve.client import FleetClient
 from repro.serve.daemon import cache_main, serve_main
 from repro.serve.store import ScheduleStore
+from repro.workloads.generator import RoutineSpec, generate_routine
 
 from tests.conftest import STRAIGHT_TEXT
 
@@ -42,6 +44,25 @@ def test_serve_batch_rounds_hit_cache(tmp_path, tia_file, capsys):
     assert stats["hit_rate"] == 0.5
     assert stats["store"]["entries"] == 1
     assert "straight" in open(out_path).read()
+
+
+def test_serve_batch_counts_certified_family_hits(tmp_path):
+    fn = generate_routine(
+        RoutineSpec(name="svc0", seed=900, instructions=24, blocks=5)
+    )
+    base, variant = tmp_path / "svc0.tia", tmp_path / "svc0_v.tia"
+    base.write_text(format_function(fn))
+    fn.block("B1").freq = round(fn.block("B1").freq * 1.5, 3)
+    variant.write_text(format_function(fn))
+    stats_path = tmp_path / "stats.json"
+    rc = serve_main([
+        str(base), str(variant), "--cache", _cache_dir(tmp_path),
+        "--workers", "1", "--time-limit", "20",
+        "--stats-out", str(stats_path),
+    ])
+    assert rc == 0
+    hits = json.loads(stats_path.read_text())["hits"]
+    assert hits == {"exact": 0, "family": 1, "miss": 1, "certified": 1}
 
 
 def test_serve_batch_requires_inputs(tmp_path):

@@ -305,14 +305,14 @@ GOLDEN = [
     (
         generate_routine,
         RoutineSpec(name="g0", seed=0, instructions=12, blocks=3),
-        "039d5c96093c5370a6272a40fc52aef921af52afc6eeb87cbd357496a32476d8",
-        "7c808705de85d723fd0153f2df622158cd283e8a22f782097666d2c77377732c",
+        "7238519d1067264b03a64f7ead06c446619db579bff083b667bce73ba7c8b9b7",
+        "1c82c7f2aae666305a11684655f6bf22957aa0df95fc8ff68fc7f0e04891dd38",
     ),
     (
         generate_routine,
         RoutineSpec(name="g1", seed=1),
-        "b61f46628ec720ab432e34a2eb2ebf6ef51f201e31f218504e9b5f64fb11931a",
-        "1c96570658ef8badc25b0f6824653497e1bc75143071b25c73c031f3ef4b1420",
+        "dc0b160f6b1c6ac3da6f30be2a942dfb936ce2d3d85ec55e9af72e51a10dab65",
+        "234d4fa38fc0254e47b15b0149beace891b24366952948323db2916ad297fd9b",
     ),
     (
         generate_routine,
@@ -320,20 +320,20 @@ GOLDEN = [
             name="g2", seed=2, instructions=40, blocks=6, loops=2,
             input_spec_loads=2,
         ),
-        "d991405ec1ba451da5f2eb3b4d3d2b275dd430e62acc688480344838f1915da5",
-        "6e139971141cc2b8b7b80f307672df44030b2631470ff2b23ebb68cbfdbe652b",
+        "6a9333e4c6ab65bd0bf78bc8bb4e9c9d6f53c8d43952f13558822ca3e3998b17",
+        "162fe8dd47087863799257caa7da2cfc8055bc449b5a6959da269b659fa9044c",
     ),
     (
         generate_routine,
         RoutineSpec(name="g3", seed=3, instructions=150, blocks=16),
-        "ad453afc84f42b5171bce5cf37cc1271b635a1f3f881bba34fa7d4c60a1a43de",
-        "8f294af9bc10d5080dc7e4c55f6892222c46dbc0c08b2c6a891222222d68c7ea",
+        "1ef794b54bb42607564b74dd1ccead2fd642e8ffb4f2096da1402b86861276d3",
+        "906ca4e05852714d6cbd71a46bd672b0394a6880c8eda2d57ff1b0b0a5e78cf2",
     ),
     (
         generate_loop_dominated,
         LoopDominatedSpec(name="g4", seed=4),
-        "c34ae14b48de09459fa4d38d534052e26ad59bf4ac1fc3289a191d9d8502a0f8",
-        "0e3eddcf2bfa2ff18fb8c085a5e927a45beba9f70f505be60c36d9224179cec9",
+        "b81f51e14ea8dafea83bca11a312d71abdc10cae41f1ae5c61d3c63fa768106d",
+        "a395d72be69a75a2a1f13c9d72b7e2c32928264254b484de27184674941b6ca2",
     ),
     (
         generate_multi_region,
@@ -341,8 +341,8 @@ GOLDEN = [
             name="g5", seed=5, segments=3, segment_instructions=14,
             segment_blocks=5,
         ),
-        "70c734f0ffa20bd801492078a5ff80946e838b53bd827dd32e302392dc20f372",
-        "5a5d9d5f08eee238eda2be2500c21dc60e420c03b7ed383a07f78b2cea5febef",
+        "ed8a63a284a28a0e08cee4a9f9f213b7726d99130b059b0dfda489993df1063d",
+        "06da0f634911e3de5c8064a3542e8e5dc6622cc498ce82351de847552cbd04d6",
     ),
 ]
 

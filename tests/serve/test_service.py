@@ -5,7 +5,9 @@ The serving invariants under test:
 * an exact hit returns the *same* schedule (byte-identical emitted
   text) without re-running the solver,
 * concurrent duplicate requests coalesce onto one solve,
-* a family near miss seeds the cycle ranges and still verifies,
+* a family near miss whose sibling's optimum is certified for it is
+  served from that optimum and still verifies (the hint path and the
+  certificate itself are covered in ``test_family_reuse.py``),
 * every store failure mode — I/O errors, injected corruption — is
   absorbed as a cold solve; **a request never raises**,
 * degraded (``fallback_input``) results are never cached,
@@ -134,15 +136,15 @@ def test_family_warm_start(svc, straight_fn):
     cold = svc.request(straight_fn)
     assert cold.kind == "miss"
     # Same structure, different solver budget: same family, new exact key.
+    # The profile is the same too, so the sibling's optimum is certified.
     warm = svc.request(straight_fn, ScheduleFeatures(time_limit=25))
     assert warm.kind == "family"
+    assert warm.certified
     assert any("family" in note for note in warm.notes)
     assert warm.result.verification.ok
-    assert (
-        warm.result.weighted_length_out <= cold.result.weighted_length_out + 1e-9
-    )
-    # The hint made it into the scheduler trace.
-    assert warm.result.trace.counters.get("family_hint_applied", 0) >= 1
+    assert warm.result.quality == "optimal"
+    assert warm.result.weighted_length_out == cold.result.weighted_length_out
+    assert warm.result.trace.counters.get("family_certified", 0) == 1
 
 
 def test_store_io_fault_degrades_to_cold_solve(svc, straight_fn):
