@@ -331,10 +331,10 @@ def decompose_summary(metrics):
     "solves", "solve_seconds", "mean_solve_seconds"}`` — the numbers
     behind the dashboard's partition rows and the CI decompose-smoke
     artifact.  ``partitions`` counts partitions solved across all
-    decomposed routines (``decompose_partitions_total``); the cache
-    fields come from the per-partition schedule-cache probe in
-    :mod:`repro.sched.decompose`.  All fields default to zero, so the
-    digest is safe on an obs-disabled (empty) dump.
+    decomposed routines (``decompose_partitions_total``).  The cache
+    fields read ``partition_cache_{hits,misses}_total``, which only dumps
+    from builds with a per-partition cache carry.  All fields default
+    to zero, so the digest is safe on an obs-disabled (empty) dump.
     """
     metrics = metrics or {}
     counters = metrics.get("counters", {}) or {}
@@ -367,8 +367,10 @@ def swp_summary(metrics):
     and the CI swp-smoke artifact.  ``ii_at_mii_rate`` is the fraction
     of *pipelined* loops whose achieved II equals max(ResMII, RecMII) —
     the paper-style optimality headline the sweep's 80% acceptance bar
-    reads.  All fields default to zero/empty, so the digest is safe on
-    an obs-disabled (empty) dump.
+    reads.  The cache fields read ``swp_cache_{hits,misses}_total``,
+    which only dumps from builds with a per-loop cache carry.  All
+    fields default to zero/empty, so the digest is safe on an
+    obs-disabled (empty) dump.
     """
     metrics = metrics or {}
     counters = metrics.get("counters", {}) or {}

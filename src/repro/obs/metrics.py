@@ -115,10 +115,6 @@ METRIC_HELP = {
     "serve_request_seconds": "end-to-end serving latency by hit kind",
     "serve_lookup_seconds": "schedule-cache lookup cost",
     "decompose_partitions_total": "partitions solved by decomposed routines",
-    "partition_cache_hits_total":
-        "partition schedule-cache probes answered from the store",
-    "partition_cache_misses_total":
-        "partition schedule-cache probes that found no usable entry",
     "partition_solve_seconds":
         "wall-clock cost of one partition's sub-pipeline",
 }

@@ -53,18 +53,14 @@ abandons decomposition and falls back to the whole-function pipeline.
 The caller (:class:`repro.sched.scheduler.IlpScheduler`) treats ``None``
 as "solve whole".
 
-Per-partition caching: when the scheduler carries a ``partition_store``
-(:class:`repro.serve.store.ScheduleStore`), each partition gets its own
-fingerprint (:func:`repro.serve.fingerprint.partition_fingerprint`) and
-its achieved block lengths are published under it. A later solve of the
-same partition — e.g. after editing one block of a large routine, which
-leaves the other partitions' fingerprints untouched — seeds its cycle
-ranges from the stored lengths, exactly like a serve family near miss.
+Partitions are not cached: the routine's serve-store entry is the only
+cache level. A partition key would hash ``time_limit``, which the serve
+path rewrites to the remaining budget before every cold solve, so it
+would never hit (``docs/decomposition.md``).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -147,8 +143,6 @@ class _Partition:
     fn: object  # sub-Function (shared blocks + exit stub)
     region: object  # sub-SchedulingRegion, stub in forbidden_blocks
     input_schedule: object
-    cache_key: str | None = None
-    hint: dict | None = None
     messages: list = field(default_factory=list)
 
 
@@ -310,67 +304,6 @@ def _build_partition(scheduler, work, spec, stub_freq):
     )
 
 
-def _attach_cache(scheduler, parts, trace):
-    """Assign per-partition fingerprints and load length hints."""
-    store = getattr(scheduler, "partition_store", None)
-    if store is None:
-        return
-    from repro.serve.fingerprint import CODE_VERSION, partition_fingerprint
-
-    for part in parts:
-        try:
-            part.cache_key = partition_fingerprint(
-                part.fn, scheduler.features, scheduler.machine
-            )
-        except Exception:
-            part.cache_key = None
-            continue
-        header = store.load_header(part.cache_key)
-        hint = None
-        if (
-            header
-            and header.get("code_version") == CODE_VERSION
-            and header.get("kind") == "partition"
-        ):
-            lengths = header.get("block_lengths")
-            if isinstance(lengths, dict) and lengths:
-                hint = lengths
-        part.hint = hint
-        name = "partition_cache_hits" if hint else "partition_cache_misses"
-        trace.count(name)
-        if obs.ENABLED:
-            obs.counter(name + "_total")
-
-
-def _store_partition(store, part, pieces):
-    """Publish a solved partition's achieved block lengths as a hint."""
-    if store is None or part.cache_key is None:
-        return
-    from repro.serve.fingerprint import CODE_VERSION
-
-    schedule = pieces.reconstruction.schedule
-    lengths = {
-        name: schedule.block_length(name) for name in schedule.block_order
-    }
-    quality = (
-        "optimal"
-        if all(s is SolveStatus.OPTIMAL for s in pieces.statuses)
-        else "incumbent"
-    )
-    meta = {
-        "code_version": CODE_VERSION,
-        "kind": "partition",
-        "routine": part.fn.name,
-        "quality": quality,
-        "block_lengths": lengths,
-    }
-    payload = json.dumps({"block_lengths": lengths}).encode("utf-8")
-    try:
-        store.put(part.cache_key, "", payload, meta=meta)
-    except OSError:
-        pass  # a failed cache fill is never a routine failure
-
-
 # -- solving ------------------------------------------------------------------
 
 
@@ -396,7 +329,6 @@ def _solve_partitions(scheduler, parts, deadline, trace, messages):
             deadline,
             part.messages,
             sub_trace,
-            length_hint=part.hint,
         )
         return pieces, sub_trace, time.perf_counter() - started
 
@@ -592,7 +524,6 @@ def try_decomposed_pipeline(
                 _build_partition(scheduler, work, spec, stub_freq)
                 for spec in specs
             ]
-            _attach_cache(scheduler, parts, trace)
             solved = _solve_partitions(
                 scheduler, parts, deadline, trace, messages
             )
@@ -602,9 +533,6 @@ def try_decomposed_pipeline(
                 )
                 return None
             pieces = _stitch(work, region, ddg, parts, solved)
-            store = getattr(scheduler, "partition_store", None)
-            for part, part_pieces in zip(parts, solved):
-                _store_partition(store, part, part_pieces)
             span.set_attr("stitched", True)
     except faults.FaultConfigError:
         raise

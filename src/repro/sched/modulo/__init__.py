@@ -18,10 +18,9 @@ its ILP model; this package is the production version of that extension
     inside the start windows — emitted as a standard
     :class:`repro.ilp.Model`, solved by ``repro.ilp.solve_model``.
 ``repro.sched.modulo.ladder``
-    The deadline-aware II search: ``kind="loop"`` serve-store caching,
-    then the modulo ILP from MII upward with per-II budget splits, and
-    §8-style degradation to the unpipelined loop; the
-    ``swp.materialize`` chaos site.
+    The deadline-aware II search: the modulo ILP from MII upward with
+    per-II budget splits, and §8-style degradation to the unpipelined
+    loop; the ``swp.materialize`` chaos site.
 ``repro.sched.modulo.oracle``
     The kernel-vs-unrolled execution oracle: the materialized
     prologue/kernel/epilogue must reproduce the source loop's memory

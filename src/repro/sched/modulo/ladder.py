@@ -10,11 +10,7 @@ no-raise with SWP enabled).
 
 The ladder, in degradation order:
 
-1. **Cache**: a kernel stored under the loop's ``kind="loop"``
-   fingerprint (:func:`repro.serve.fingerprint.loop_fingerprint`) skips
-   the ILP entirely — materialization and the oracle still run, so a
-   stale or corrupt entry degrades to a live solve, never to bad code.
-2. **Modulo ILP** (:func:`modulo_schedule`, one
+1. **Modulo ILP** (:func:`modulo_schedule`, one
    :class:`repro.sched.modulo.formulation.ModuloIlp` per II): for each
    candidate II from MII upward the remaining ladder budget is split
    evenly over the IIs left, so an early II that is *almost* feasible
@@ -22,7 +18,11 @@ The ladder, in degradation order:
    come out empty is recorded ``INFEASIBLE`` (reason ``empty_window``)
    without a solve.  The first feasible II is the smallest one within
    the stage bound.
-3. **Unpipelined**: the loop stays as the acyclic scheduler left it.
+2. **Unpipelined**: the loop stays as the acyclic scheduler left it.
+
+There is no per-loop cache rung: the routine's serve-store entry already
+answers a repeated routine, and a loop key hashes that same routine, so
+it could only hit where the routine entry hits (``docs/pipelining.md``).
 
 Materialization sits behind the ``swp.materialize`` fault site: any
 injected kind fails code generation, which must demote the outcome to
@@ -34,7 +34,6 @@ failure discards the routine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
@@ -68,7 +67,6 @@ class LoopPipelineOutcome:
     mii_resource: int = 0
     mii_recurrence: int = 0
     oracle: object = None  # OracleReport when a kernel was executed
-    cache: str = "off"  # "hit" | "miss" | "off"
     fallback_reason: str | None = None
     pipelined_fn: object = None  # materialized Function (None = unpipelined)
     solve_seconds: float = 0.0
@@ -107,8 +105,6 @@ def pipeline_loop(
     max_ii=32,
     max_stages=4,
     time_limit=10.0,
-    features=None,
-    store=None,
     oracle_seeds=(0, 1, 2),
     trace=None,
 ):
@@ -116,8 +112,7 @@ def pipeline_loop(
 
     ``deadline`` is the routine's shared wall clock (the ladder only
     ever spends its *remaining* budget); ``time_limit`` additionally
-    caps what this one loop may consume.  ``features`` + ``store``
-    enable the ``kind="loop"`` cache; both optional.
+    caps what this one loop may consume.
     """
     deadline = deadline if deadline is not None else Deadline(None)
     outcome = LoopPipelineOutcome(loop_header=loop.header,
@@ -138,26 +133,6 @@ def pipeline_loop(
     outcome.mii_recurrence = recurrence_mii(body, edges)
     outcome.detail["body_instructions"] = len(body)
     outcome.detail["edges"] = len(edges)
-
-    # -- the kind="loop" cache -----------------------------------------------
-    cache_key = None
-    cached = None
-    if store is not None and features is not None:
-        cache_key, cached = _cache_probe(
-            store, fn, loop, features, machine, body, outcome
-        )
-    if cached is not None:
-        produced = _materialize_and_check(
-            fn, cfg, ddg, loop, cached, counted, oracle_seeds, outcome, trace
-        )
-        if produced is not None:
-            outcome.status = "pipelined"
-            return _finish(outcome, None, deadline, started, produced)
-        # A cached kernel that fails to materialize or execute is stale:
-        # drop to a live solve (and republish on success).
-        outcome.detail["cache_discarded"] = True
-        outcome.oracle = None
-        outcome.ii = None
 
     # -- the modulo ILP --------------------------------------------------------
     clock = Deadline(time_limit)
@@ -181,8 +156,6 @@ def pipeline_loop(
     if produced is None:
         return _finish(outcome, None, deadline, started)
     outcome.status = "pipelined"
-    if cache_key is not None:
-        _cache_publish(store, cache_key, fn, loop, body, msched)
     return _finish(outcome, None, deadline, started, produced)
 
 
@@ -308,77 +281,6 @@ def _materialize_and_check(fn, cfg, ddg, loop, msched, counted, oracle_seeds,
         outcome.detail["oracle_problems"] = report.problems[:4]
         return None
     return produced
-
-
-# -- cache --------------------------------------------------------------------
-def _cache_probe(store, fn, loop, features, machine, body, outcome):
-    """Look up a cached kernel; returns (key, ModuloSchedule or None)."""
-    from repro.serve.fingerprint import CODE_VERSION, loop_fingerprint
-
-    try:
-        key = loop_fingerprint(fn, loop.header, features, machine)
-    except Exception:
-        return None, None
-    header = store.load_header(key)
-    cached = None
-    if (
-        header
-        and header.get("code_version") == CODE_VERSION
-        and header.get("kind") == "loop"
-    ):
-        raw = header.get("starts")
-        ii = header.get("ii")
-        if (
-            isinstance(raw, dict)
-            and isinstance(ii, int)
-            and ii >= 1
-            and len(raw) == len(body)
-        ):
-            try:
-                decoded = {
-                    body[int(pos)]: int(start)
-                    for pos, start in raw.items()
-                }
-            except (ValueError, IndexError, TypeError):
-                decoded = None
-            if decoded is not None and all(t >= 0 for t in decoded.values()):
-                cached = _as_schedule(loop, ii, decoded, outcome.mii_resource,
-                                      outcome.mii_recurrence)
-    outcome.cache = "hit" if cached is not None else "miss"
-    if obs.ENABLED:
-        obs.counter(
-            "swp_cache_hits_total" if cached is not None
-            else "swp_cache_misses_total"
-        )
-    return key, cached
-
-
-def _cache_publish(store, key, fn, loop, body, msched):
-    """Publish a proven kernel under its kind="loop" fingerprint."""
-    from repro.serve.fingerprint import CODE_VERSION
-
-    position = {instr: at for at, instr in enumerate(body)}
-    starts = {
-        str(position[instr]): int(start)
-        for instr, start in msched.start_times.items()
-        if instr in position
-    }
-    meta = {
-        "code_version": CODE_VERSION,
-        "kind": "loop",
-        "routine": fn.name,
-        "loop": loop.header,
-        "ii": msched.ii,
-        "stages": msched.stages,
-        "mii_resource": msched.mii_resource,
-        "mii_recurrence": msched.mii_recurrence,
-        "starts": starts,
-    }
-    payload = json.dumps({"ii": msched.ii, "starts": starts}).encode("utf-8")
-    try:
-        store.put(key, "", payload, meta=meta)
-    except OSError:
-        pass  # a failed cache fill is never a loop failure
 
 
 # -- bookkeeping --------------------------------------------------------------

@@ -163,11 +163,11 @@ class ScheduleFeatures:
     decompose_min_instructions: int = 100
     # Software pipelining (repro.sched.modulo): beside the acyclic global
     # schedule (on a second thread when one is free), modulo-schedule
-    # every counted single-block inner loop through the II ladder (cached
-    # kernel, then the modulo ILP from MII upward, then the unpipelined
-    # loop).  Off by default: the pipelined routine is
-    # attached as per-loop ``OptimizeResult.swp_outcomes`` records, never
-    # spliced into the acyclic ``output_schedule``.
+    # every counted single-block inner loop through the II ladder (the
+    # modulo ILP from MII upward, then the unpipelined loop).  Off by
+    # default: the pipelined routine is attached as per-loop
+    # ``OptimizeResult.swp_outcomes`` records, never spliced into the
+    # acyclic ``output_schedule``.
     swp: bool = False
     swp_max_ii: int = 32  # II ladder ceiling
     swp_max_stages: int = 4  # stage-count / register-pressure bound
@@ -329,15 +329,9 @@ class OptimizeResult:
 class IlpScheduler:
     """ILP-based global scheduler with the paper's extensions."""
 
-    def __init__(
-        self, machine=ITANIUM2, features=None, partition_store=None,
-        family=None,
-    ):
+    def __init__(self, machine=ITANIUM2, features=None, family=None):
         self.machine = machine
         self.features = features or ScheduleFeatures()
-        # Optional repro.serve.store.ScheduleStore: the decomposed
-        # pipeline publishes/consumes per-partition length hints here.
-        self.partition_store = partition_store
         # Serving path only: repro.sched.certify records of solved family
         # siblings (possibly none). A whole-function run then first tries
         # to serve the routine from one of them, and records its own.
@@ -567,8 +561,6 @@ class IlpScheduler:
                     max_ii=features.swp_max_ii,
                     max_stages=features.swp_max_stages,
                     time_limit=features.swp_time_limit,
-                    features=features,
-                    store=self.partition_store,
                     trace=trace,
                 ))
         except faults.FaultConfigError:
@@ -1165,11 +1157,6 @@ def _add_guard_dependences(ilp):
         ilp.add_edge(DepEdge(compare, instr, DepKind.TRUE, 1))
 
 
-def optimize_function(
-    fn, features=None, machine=ITANIUM2, length_hint=None,
-    partition_store=None,
-):
+def optimize_function(fn, features=None, machine=ITANIUM2):
     """One-call entry point: schedule ``fn`` and return an OptimizeResult."""
-    return IlpScheduler(
-        machine=machine, features=features, partition_store=partition_store
-    ).optimize(fn, length_hint=length_hint)
+    return IlpScheduler(machine=machine, features=features).optimize(fn)

@@ -220,18 +220,15 @@ def machine_dict(machine):
     return out
 
 
-def _digest(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def _request_digest(form, features_view, machine):
-    return _digest({
+    payload = {
         "code": CODE_VERSION,
         "fn": form,
         "features": features_view,
         "machine": machine_dict(machine),
-    })
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def fingerprint(fn, features, machine):
@@ -260,43 +257,3 @@ def request_keys(fn, features, machine):
             _coarsen(form), features_dict(features, family=True), machine
         ),
     )
-
-
-def partition_fingerprint(fn, features, machine):
-    """Exact cache key for one decomposition partition.
-
-    Keyed over the partition's *sub-function* (blocks, exit stub, pinned
-    boundary live sets), so editing one block of a large routine leaves
-    every other partition's key — and its cached lengths — intact.
-    Register names canonicalize to first-appearance numbering, making
-    the key invariant under virtual-register renaming, like
-    :func:`fingerprint`. The ``kind`` tag keeps partition entries from
-    ever aliasing a whole-routine entry.
-    """
-    return _digest({
-        "code": CODE_VERSION,
-        "kind": "partition",
-        "fn": canonical_function(fn),
-        "features": features_dict(features),
-        "machine": machine_dict(machine),
-    })
-
-
-def loop_fingerprint(fn, loop_header, features, machine):
-    """Exact cache key for one modulo-scheduled loop (``kind="loop"``).
-
-    Keyed over the whole routine's canonical form plus the loop header
-    name: the loop body's modulo schedule depends on the body
-    instructions and their loop-carried dependences, both of which the
-    routine canonical form captures, and the header pins *which* loop of
-    a multi-loop routine the entry describes.  The ``kind`` tag keeps
-    loop entries from aliasing whole-routine or partition entries.
-    """
-    return _digest({
-        "code": CODE_VERSION,
-        "kind": "loop",
-        "loop": str(loop_header),
-        "fn": canonical_function(fn),
-        "features": features_dict(features),
-        "machine": machine_dict(machine),
-    })

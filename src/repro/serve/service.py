@@ -555,8 +555,7 @@ class ScheduleService:
 
     def _optimize(self, fn, features, hint, records):
         scheduler = IlpScheduler(
-            machine=self.machine, features=features,
-            partition_store=self.store, family=records,
+            machine=self.machine, features=features, family=records
         )
         return scheduler.optimize(fn, length_hint=hint)
 

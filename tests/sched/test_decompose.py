@@ -1,4 +1,4 @@
-"""Region decomposition: cut legality, stitching, fallbacks, caching.
+"""Region decomposition: cut legality, stitching, fallbacks.
 
 The decomposed pipeline (:mod:`repro.sched.decompose`) must (a) only
 cut where the restriction argument holds — never inside a loop, never
@@ -211,42 +211,6 @@ def test_below_threshold_identical_to_decompose_off(diamond_fn):
     ))
     off = optimize_function(diamond_fn, features_off)
     assert _normalized_emit(on) == _normalized_emit(off)
-
-
-# -- per-partition caching ----------------------------------------------------
-def test_partition_cache_hits_on_second_solve(tmp_path):
-    from repro.serve.store import ScheduleStore
-
-    store = ScheduleStore(tmp_path / "cache")
-    features = _small_features()
-
-    first = optimize_function(
-        generate_multi_region(_SMALL), features, partition_store=store
-    )
-    assert any("decomposed into" in m for m in first.messages)
-    misses = first.trace.counters.get("partition_cache_misses", 0)
-    assert misses >= 2  # every partition probed cold
-
-    second = optimize_function(
-        generate_multi_region(_SMALL), features, partition_store=store
-    )
-    hits = second.trace.counters.get("partition_cache_hits", 0)
-    assert hits == misses  # every partition seeded from the store
-    assert second.verification.ok
-    assert any("decomposed into" in m for m in second.messages)
-
-
-def test_store_failure_is_not_a_routine_failure(tmp_path):
-    from repro.serve.store import ScheduleStore
-
-    store = ScheduleStore(tmp_path / "cache")
-    with faults.inject("serve.store_io=error"):
-        result = optimize_function(
-            generate_multi_region(_SMALL),
-            _small_features(),
-            partition_store=store,
-        )
-    assert result.verification.ok
 
 
 # -- fan-out sizing -----------------------------------------------------------

@@ -291,24 +291,6 @@ def test_ladder_respects_exhausted_deadline():
     assert outcome.status == "unpipelined"
 
 
-def test_ladder_cache_roundtrip(tmp_path):
-    from repro.sched.scheduler import ScheduleFeatures
-    from repro.serve.store import ScheduleStore
-
-    store = ScheduleStore(tmp_path / "cache")
-    features = ScheduleFeatures(swp=True)
-    fn, cfg, ddg, loop, _body, _edges = _loop_parts(COUNTED_LOOP)
-    first = pipeline_loop(fn, cfg, ddg, loop, features=features, store=store)
-    assert first.cache == "miss"
-    assert first.status == "pipelined"
-    second = pipeline_loop(fn, cfg, ddg, loop, features=features, store=store)
-    assert second.cache == "hit"
-    assert second.status == "pipelined"
-    assert second.ii == first.ii
-    # The cached rung still executes the oracle before trusting the entry.
-    assert second.oracle and second.oracle.ok
-
-
 # -- satellite: execution-equivalence property ---------------------------------
 def _counted_template(trips, accumulators):
     accs = ""

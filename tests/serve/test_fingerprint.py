@@ -251,52 +251,6 @@ def test_parse_roundtrip_same_fingerprint(straight_fn):
     )
 
 
-# -- partition fingerprints (repro.sched.decompose) ---------------------------
-@given(seed=st.integers(0, 10**6))
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_partition_fingerprint_invariant_under_renaming(seed):
-    from repro.serve.fingerprint import partition_fingerprint
-
-    fn = _generated(seed)
-    renamed = _rename(fn, _rename_map(fn, seed + 1))
-    assert partition_fingerprint(
-        fn, FEATURES, ITANIUM2
-    ) == partition_fingerprint(renamed, FEATURES, ITANIUM2)
-
-
-def test_partition_fingerprint_distinct_from_whole(straight_fn):
-    """The same bytes cached as a partition must never answer a
-    whole-routine request (the payloads have different shapes)."""
-    from repro.serve.fingerprint import partition_fingerprint
-
-    assert partition_fingerprint(
-        straight_fn, FEATURES, ITANIUM2
-    ) != fingerprint(straight_fn, FEATURES, ITANIUM2)
-
-
-# -- kind="loop" fingerprints -------------------------------------------------
-def test_loop_fingerprint_distinct_from_routine_and_per_loop():
-    from repro.serve.fingerprint import loop_fingerprint
-    from repro.workloads.generator import (
-        LoopDominatedSpec,
-        generate_loop_dominated,
-    )
-
-    fn = generate_loop_dominated(LoopDominatedSpec(name="lfp", seed=4))
-    routine_key = fingerprint(fn, FEATURES, ITANIUM2)
-    loop_key = loop_fingerprint(fn, "LOOP", FEATURES, ITANIUM2)
-    assert loop_key != routine_key
-    # Stable across calls, sensitive to the loop header and the knobs.
-    assert loop_key == loop_fingerprint(fn, "LOOP", FEATURES, ITANIUM2)
-    assert loop_key != loop_fingerprint(fn, "LOOP2", FEATURES, ITANIUM2)
-    flipped = ScheduleFeatures(time_limit=30, swp_max_stages=2)
-    assert loop_key != loop_fingerprint(fn, "LOOP", flipped, ITANIUM2)
-
-
 # -- golden digests -----------------------------------------------------------
 # Every stored entry is addressed by these digests: a change to the
 # canonical form that moves them silently orphans the whole store, so a

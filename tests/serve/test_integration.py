@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sched.scheduler import (
+    IlpScheduler,
     ScheduleFeatures,
     apply_length_hint,
     optimize_function,
@@ -43,8 +44,8 @@ def test_optimize_with_hint_still_verifies(straight_fn):
         name: baseline.output_schedule.block_length(name)
         for name in baseline.output_schedule.block_order
     }
-    hinted = optimize_function(
-        straight_fn, FEATURES, length_hint=achieved
+    hinted = IlpScheduler(features=FEATURES).optimize(
+        straight_fn, length_hint=achieved
     )
     assert hinted.verification.ok
     assert hinted.weighted_length_out <= baseline.weighted_length_out + 1e-9
@@ -55,7 +56,9 @@ def test_optimize_with_infeasibly_tight_hint_recovers(straight_fn):
     # A hint of all-ones is (generally) infeasible; the resize ladder
     # must recover and still produce a verified schedule.
     hint = {b.name: 1 for b in straight_fn.blocks}
-    result = optimize_function(straight_fn, FEATURES, length_hint=hint)
+    result = IlpScheduler(features=FEATURES).optimize(
+        straight_fn, length_hint=hint
+    )
     assert result.verification.ok
 
 
