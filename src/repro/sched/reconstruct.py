@@ -188,11 +188,14 @@ def _order_groups(ilp, schedule, solution):
     all_edges = list(ilp.dep_edges())
 
     def edges_by_pair_for(block):
+        # Successors in a dict, not a set: instructions hash by id(), so
+        # a set would order each group by memory address, and the same
+        # solution would emit differently ordered groups from run to run.
         mapping = {}
         for edge in all_edges:
             if relax_active(edge, block):
                 continue
-            mapping.setdefault(edge.src, set()).add(edge.dst)
+            mapping.setdefault(edge.src, {})[edge.dst] = None
         return mapping
 
     def key_node(placed):
