@@ -5,8 +5,8 @@ Not a paper artifact, but the knobs the paper discusses qualitatively:
 * cycle-range reserve k (Sec. 6.1: "plus a constant reserve, usually
   k = 1") — how much head-room costs in model size and buys in quality;
 * the code-motion distance bound (our search-space compaction);
-* phase 2 (Sec. 5.5) — instruction-count cleanup cost;
-* the solver alone — HiGHS on a small routine without phase 2.
+* phase 2 (Sec. 5.5) — instruction-count cleanup cost; its ``phase1``
+  case is the solver alone, HiGHS without the cleanup ILP.
 
 Run:  pytest benchmarks/bench_ablations.py --benchmark-only -q
 """
@@ -60,38 +60,3 @@ def test_phase2_cost(benchmark, two_phase):
     )
     assert result.verification.ok
 
-
-def test_length_linking_mode(benchmark):
-    """Phase 1 alone under the OASIC-grade per-variable length linking."""
-    fn = build_spec_routine("xfree", scale=SCALE)
-    result = benchmark.pedantic(
-        lambda: optimize_function(fn, _features(two_phase=False)),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.verification.ok
-
-
-@pytest.mark.parametrize("baseline", ["local", "greedy"])
-def test_baseline_strength(benchmark, baseline):
-    """How much of the gap a greedy global heuristic already closes."""
-    fn = build_spec_routine("prune_match", scale=SCALE)
-    result = benchmark.pedantic(
-        lambda: optimize_function(fn, _features(baseline=baseline)),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.verification.ok
-    assert result.static_reduction >= -1e-9
-
-
-def test_solver_backend(benchmark):
-    fn = build_spec_routine("firstone", scale=0.4)
-    result = benchmark.pedantic(
-        lambda: optimize_function(
-            fn, _features(time_limit=60, two_phase=False)
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.verification.ok

@@ -9,25 +9,6 @@ class IlpError(ReproError):
     """Errors from the ILP substrate (modeling or solving)."""
 
 
-class InfeasibleError(IlpError):
-    """The model has no feasible solution."""
-
-
-class UnboundedError(IlpError):
-    """The model's objective is unbounded."""
-
-
-class SolverTimeout(IlpError):
-    """The solver hit its time or node limit without proving optimality.
-
-    The best incumbent found so far (if any) is attached as ``incumbent``.
-    """
-
-    def __init__(self, message, incumbent=None):
-        super().__init__(message)
-        self.incumbent = incumbent
-
-
 class ParseError(ReproError):
     """Malformed TIA assembly input."""
 
@@ -44,10 +25,6 @@ class MachineError(ReproError):
 
 class SchedulingError(ReproError):
     """The scheduler could not produce or reconstruct a schedule."""
-
-
-class VerificationError(ReproError):
-    """A schedule failed the path-based correctness check."""
 
 
 class BundlingError(ReproError):

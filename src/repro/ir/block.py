@@ -30,10 +30,6 @@ class BasicBlock:
     def branches(self):
         return [i for i in self.instructions if i.is_branch]
 
-    @property
-    def non_branch_instructions(self):
-        return [i for i in self.instructions if not i.is_branch]
-
     def __iter__(self):
         return iter(self.instructions)
 

@@ -44,10 +44,6 @@ class OpcodeInfo:
     may_trap: bool = False  # can raise an exception if executed
     multiply_executable: bool = True  # safe to re-execute with same operands
 
-    @property
-    def touches_memory(self):
-        return self.is_load or self.is_store
-
 
 def _op(name, unit, latency=1, **flags):
     return name, OpcodeInfo(name=name, unit=unit, latency=latency, **flags)

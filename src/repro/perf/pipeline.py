@@ -41,10 +41,6 @@ class SimulationResult:
     branch_penalty_cycles: int
 
     @property
-    def achieved_ipc(self):
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
     def unstalled_fraction(self):
         return self.issue_cycles / self.cycles if self.cycles else 0.0
 

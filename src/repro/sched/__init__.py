@@ -28,7 +28,6 @@ from repro.sched.schedule import Schedule
 from repro.sched.regions import SchedulingRegion, build_region
 from repro.sched.scheduler import IlpScheduler, ScheduleFeatures, optimize_function
 from repro.sched.list_scheduler import ListScheduler
-from repro.sched.greedy_global import GreedyGlobalScheduler
 from repro.sched.swp import ModuloSchedule
 from repro.sched.swp_materialize import (
     materialize_counted_loop,
@@ -44,7 +43,6 @@ __all__ = [
     "ScheduleFeatures",
     "optimize_function",
     "ListScheduler",
-    "GreedyGlobalScheduler",
     "ModuloSchedule",
     "materialize_counted_loop",
     "recognize_counted_loop",

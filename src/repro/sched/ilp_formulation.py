@@ -20,7 +20,7 @@ Extensions (speculation, cyclic, partial-ready) hook in *before*
   ``assign_rhs`` — e.g. ``1 - usespec``,
 * registering relaxation terms added to the RHS of precedence
   constraints (4)/(5) for specific dependence edges via ``relax_edge``,
-* adding/removing dependence edges via ``extra_edges``/``dropped_edges``,
+* adding dependence edges via ``extra_edges``,
 * relaxing specific instances of the flow equality (2) to ``<=`` via
   ``relaxed_flow`` (partial-ready code motion, Sec. 5.3).
 """
@@ -109,7 +109,6 @@ class SchedulingIlp:
         self.relax_terms = {}
         self.local_only_edges = set()  # edges with (5) instances but no (4)
         self.extra_edges = []
-        self.dropped_edges = set()
         self.relaxed_flow = set()  # (instr, pred_block, block) flow edges -> "<="
         # (edge, controlling expr): the verifier skips the edge when the
         # expression evaluates >= 0.5 in the solution (cross-iteration
@@ -167,9 +166,6 @@ class SchedulingIlp:
             (term, frozenset(blocks) if blocks is not None else None)
         )
 
-    def drop_edge(self, edge):
-        self.dropped_edges.add(edge)
-
     def add_edge(self, edge):
         self.extra_edges.append(edge)
 
@@ -184,9 +180,6 @@ class SchedulingIlp:
     # -- variable access -----------------------------------------------------------
     def instructions(self):
         return list(self.info)
-
-    def x_var(self, instr, block, t):
-        return self.x[(instr, block, t)]
 
     def x_sum(self, instr, block):
         """Σ_t x[n,A,t] as an expression (0 if A ∉ Θ(n))."""
@@ -237,12 +230,8 @@ class SchedulingIlp:
 
     # -- dependence edges ------------------------------------------------------------
     def dep_edges(self):
-        for edge in self.region.ddg.edges:
-            if edge not in self.dropped_edges:
-                yield edge
-        for edge in self.extra_edges:
-            if edge not in self.dropped_edges:
-                yield edge
+        yield from self.region.ddg.edges
+        yield from self.extra_edges
 
     @staticmethod
     def _relax_row(entries, block):

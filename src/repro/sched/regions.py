@@ -56,8 +56,6 @@ class SchedulingRegion:
     # Lazy Θ⁻¹ index; invalidated whenever theta is mutated post-build.
     _hosting_index: dict | None = field(default=None, repr=False)
 
-    OMEGA = "__omega__"
-
     def blocks_hosting(self, block_name):
         """Θ⁻¹(A): instructions that may be placed in ``block_name``.
 
@@ -79,15 +77,6 @@ class SchedulingRegion:
     def invalidate_hosting_index(self):
         """Drop the Θ⁻¹ index after a post-build mutation of ``theta``."""
         self._hosting_index = None
-
-    def dag_preds(self, block):
-        if block == self.OMEGA:
-            return list(self.cfg.dag_sinks)
-        return self.cfg.predecessors_in_dag(block)
-
-    def a_blocks(self, instr):
-        """Blocks for which an ``a`` variable exists: Θ_spec(n) ∪ {Ω}."""
-        return list(self.theta_spec[instr]) + [self.OMEGA]
 
 
 def build_region(

@@ -149,7 +149,6 @@ class ScheduleFeatures:
     cyclic: bool = True  # cyclic code motion (5.2)
     partial_ready: bool = True  # partial-ready code motion (5.3)
     two_phase: bool = True  # instruction-count cleanup (5.5)
-    baseline: str = "local"  # input-schedule heuristic: "local" | "greedy"
     verify: bool = True
     time_limit: float | None = 120.0
     reserve: int = 1  # G_A head-room (Sec. 6.1, k)
@@ -430,15 +429,8 @@ class IlpScheduler:
         """Input schedule, ILP pipeline and verification of the analyzed
         ``work``; the acyclic part of :meth:`optimize`."""
         features = self.features
-        with trace.span("input_schedule", baseline=features.baseline):
-            if features.baseline == "greedy":
-                from repro.sched.greedy_global import GreedyGlobalScheduler
-
-                input_schedule = GreedyGlobalScheduler(self.machine).schedule(
-                    work, ddg, region
-                )
-            else:
-                input_schedule = ListScheduler(self.machine).schedule(work, ddg)
+        with trace.span("input_schedule"):
+            input_schedule = ListScheduler(self.machine).schedule(work, ddg)
             bundles_in = bundle_schedule(input_schedule)
 
         messages = []

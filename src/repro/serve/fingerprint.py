@@ -57,7 +57,9 @@ from repro.ir.registers import Register
 # serve-8: family requests may be served from a certified sibling
 # optimum (repro.sched.certify), and entries carry its record; hinted
 # entries of older versions may carry a longer schedule marked optimal.
-CODE_VERSION = "serve-8"
+# serve-9: the greedy-global input scheduler was removed; baseline left
+# ScheduleFeatures.
+CODE_VERSION = "serve-9"
 
 # ScheduleFeatures fields that steer the *solver*, not the model: two
 # requests differing only here want the same schedule, so they share a

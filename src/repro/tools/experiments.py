@@ -40,7 +40,6 @@ def default_features(**overrides):
     base = dict(
         time_limit=default_time_limit(),
         max_hops=4,
-        baseline=os.environ.get("REPRO_BASELINE", "local"),
     )
     base.update(overrides)
     return ScheduleFeatures(**base)

@@ -232,23 +232,3 @@ SEED905_MINIMIZED = """
 
 def test_seed905_store_values_pinned():
     _differential(parse_function(SEED905_MINIMIZED), compare_stores=True)
-
-
-def test_greedy_baseline_semantics_preserved():
-    fn = generate_routine(
-        RoutineSpec(name="gdiff", seed=99, instructions=26, blocks=6, loops=1)
-    )
-    result = optimize_function(
-        fn, ScheduleFeatures(time_limit=30, max_hops=3, baseline="greedy")
-    )
-    interp = Interpreter(max_blocks=600)
-    registers = initial_registers(result.fn, 7)
-    want = interp.run_function(result.fn, registers, seed=7)
-    got_in = interp.run_schedule(
-        result.input_schedule, result.fn, registers, seed=7
-    )
-    got_out = interp.run_schedule(
-        result.output_schedule, result.fn, registers, seed=7
-    )
-    for got in (got_in, got_out):
-        _compare(result.fn, want, got, 7)

@@ -87,6 +87,7 @@ def test_removed_feature_fields_are_gone():
         ("heuristic_effort", 0.5),
         ("predication", True),
         ("freq_cap", 5.0),
+        ("baseline", "local"),
     ],
 )
 def test_unset_knobs_are_removed(name, value):

@@ -7,6 +7,7 @@ result, report/trace surfacing, the §8 no-raise guarantee under
 pipeline.
 """
 
+import re
 import threading
 import time
 
@@ -129,6 +130,26 @@ def test_overlap_matches_the_sequential_order(monkeypatch, seed):
         two = _optimize_at_width(monkeypatch, 2, parse_function(text))
         assert one.swp_outcomes, spec.name
         assert _fingerprint(one) == _fingerprint(two), spec.name
+
+
+@pytest.mark.parametrize(
+    "seed,position", [(2, 5), (1, 9), (2, 9)],
+    ids=["loop5.s2", "loop9.s1", "loop9.s2"],
+)
+def test_emitted_text_is_stable_within_a_process(seed, position):
+    """Compiling one routine three times in one process emits one text.
+
+    These routines once alternated between two texts that differed only
+    in the order of an issue group's instructions, which followed heap
+    addresses. Recovery labels embed per-parse uids and are renumbered.
+    """
+    _spec, fn = list(loop_dominated_family(count=11, seed=seed))[position]
+    text = format_function(fn)
+    emitted = set()
+    for _ in range(3):
+        result = optimize_function(parse_function(text), OVERLAP_FEATURES)
+        emitted.add(re.sub(r"recover_\d+", "recover_N", _emit_function(result)))
+    assert len(emitted) == 1
 
 
 def _record_ladder_threads(monkeypatch):

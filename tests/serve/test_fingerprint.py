@@ -259,14 +259,14 @@ GOLDEN = [
     (
         generate_routine,
         RoutineSpec(name="g0", seed=0, instructions=12, blocks=3),
-        "7238519d1067264b03a64f7ead06c446619db579bff083b667bce73ba7c8b9b7",
-        "1c82c7f2aae666305a11684655f6bf22957aa0df95fc8ff68fc7f0e04891dd38",
+        "9e00946e9f4b7d8088b5a42df151222ac12e0ff17432f7fd601b456f9b337496",
+        "4a38d1b12db2e4d0e8f0809c3abaf6a3e3f11df4aa76e94f5593dbf3fb3c86cc",
     ),
     (
         generate_routine,
         RoutineSpec(name="g1", seed=1),
-        "dc0b160f6b1c6ac3da6f30be2a942dfb936ce2d3d85ec55e9af72e51a10dab65",
-        "234d4fa38fc0254e47b15b0149beace891b24366952948323db2916ad297fd9b",
+        "26d35ad758dca880b0887ecd322633fdce8e8d2da60220595d4de903d73aa089",
+        "a64a90a30af9cf221d2764e60856c3c86a9b458abd1672562c49518bfe348938",
     ),
     (
         generate_routine,
@@ -274,20 +274,20 @@ GOLDEN = [
             name="g2", seed=2, instructions=40, blocks=6, loops=2,
             input_spec_loads=2,
         ),
-        "6a9333e4c6ab65bd0bf78bc8bb4e9c9d6f53c8d43952f13558822ca3e3998b17",
-        "162fe8dd47087863799257caa7da2cfc8055bc449b5a6959da269b659fa9044c",
+        "2fb08e26060758c8bb10a8a5df1e8d78c08713c357eec114e56d220ee3098a10",
+        "687d1dae1b2f41c5b810609e0611b2d6db93621a602a4efb3f296d5328d37bfc",
     ),
     (
         generate_routine,
         RoutineSpec(name="g3", seed=3, instructions=150, blocks=16),
-        "1ef794b54bb42607564b74dd1ccead2fd642e8ffb4f2096da1402b86861276d3",
-        "906ca4e05852714d6cbd71a46bd672b0394a6880c8eda2d57ff1b0b0a5e78cf2",
+        "c05cb737e959adb33dd7ba48b2ffff9f71c149daa684901cf0780a798afcace0",
+        "9a0514519fe7b9bda9168659d054ed5859a7c2f055e288db3baf907533130b99",
     ),
     (
         generate_loop_dominated,
         LoopDominatedSpec(name="g4", seed=4),
-        "b81f51e14ea8dafea83bca11a312d71abdc10cae41f1ae5c61d3c63fa768106d",
-        "a395d72be69a75a2a1f13c9d72b7e2c32928264254b484de27184674941b6ca2",
+        "16bc2235f79c6b130fec764fdbb4b09197a30f19797ddae073ad7b9555ce69f9",
+        "baba96550962fd8f436fce36808e00166e77a6d8fcb2cb92042455240bd00c01",
     ),
     (
         generate_multi_region,
@@ -295,8 +295,8 @@ GOLDEN = [
             name="g5", seed=5, segments=3, segment_instructions=14,
             segment_blocks=5,
         ),
-        "ed8a63a284a28a0e08cee4a9f9f213b7726d99130b059b0dfda489993df1063d",
-        "06da0f634911e3de5c8064a3542e8e5dc6622cc498ce82351de847552cbd04d6",
+        "ff98f20d2f8a67bcfb73e5d1873828f8ba01c79bee108525b0dfdbc90904f14c",
+        "51c4c2c4572174f164a2cdfa2759d79645f572ad2075e5fafc6e859e4fcef3d1",
     ),
 ]
 
