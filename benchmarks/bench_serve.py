@@ -15,10 +15,12 @@ Six sections, each a dict in ``BENCH_serve.json`` at the repo root:
   ``ScheduleService.request`` hit pass) is the gated headline; the
   ``*_exact`` booleans assert every repeat, deadline or not, is a
   byte-identical exact hit;
-* ``family_warm``   — cold solve vs a family-warm-started solve of the
-  same routine under a different solver budget (same family, new
-  exact key).  ``family_vs_cold_ratio`` ≈ 1.0 means the near-miss
-  seeding is free; far above 1 would mean the hint hurts;
+* ``family_warm``   — cold solve vs a family request for the same
+  routine under a different solver budget (same family, new exact
+  key).  The profile is unchanged, so each sibling optimum certifies
+  and is served with no solve: ``family_vs_cold_ratio`` well below 1.0
+  is that saving, and 1.0 or above would mean the certificate check
+  costs as much as the solve it replaces;
 * ``hit_rate_sweep``— a replayed request mix over *generator*
   workloads (a pool of seeded synthetic routines, every one requested
   ``rounds`` times) through one service: hit rate, coalescing and

@@ -26,7 +26,7 @@ A :func:`family_record` is the part of a solved result a later sibling
 needs: the digest, the block frequencies, and the nonzero columns of
 both optima (every model variable is binary). It is only made for a
 whole-function result whose phase 1 was solved to optimality on its
-unhinted cycle ranges, with no bundling cut or range growth, and whose
+initial cycle ranges, with no bundling cut or range growth, and whose
 phase 2 (when enabled) was optimal as well.
 """
 
@@ -174,7 +174,7 @@ def reuse(ilp, arrays, digest, records, two_phase):
     from the first of ``records`` (which :func:`certifies` accepted)
     whose feasible set matches, or ``None``.
 
-    ``arrays`` is the matrix form of ``ilp``'s unhinted phase-1 model and
+    ``arrays`` is the matrix form of ``ilp``'s phase-1 model and
     ``digest`` its :func:`feasible_digest`. Each transplanted point must
     satisfy the model and set the record's lengths, which phase 2's pins
     demand of its optimum too. ``phase2`` is ``None`` when ``two_phase``

@@ -337,7 +337,7 @@ class IlpScheduler:
         self.family = family
 
     # -- public -----------------------------------------------------------------
-    def optimize(self, fn, length_hint=None):
+    def optimize(self, fn):
         """Schedule ``fn``; never raises for pipeline failures — degrades
         along the fallback ladder (see the module docstring).  The one
         deliberate exception is :class:`repro.tools.faults.FaultConfigError`
@@ -345,20 +345,15 @@ class IlpScheduler:
         the *driver*, and swallowing it would silently turn every routine
         into ``fallback_input`` while injecting nothing, so it propagates.
 
-        ``length_hint`` is an optional ``{block name: cycles}`` map of
-        block lengths achieved by a structurally similar routine (a
-        cache-family near miss, :mod:`repro.serve.service`).  Hinted
-        blocks get their initial cycle range *tightened* to the hint
-        (never widened), shrinking the ILP; if the hint turns out
-        infeasible for this routine, the normal cycle-range growth
-        ladder recovers.  A scheduler built with ``family`` records
-        tries those first: a sibling optimum that provably stays optimal
-        is served without a solve (:mod:`repro.sched.certify`), and the
-        hint applies only when none does."""
+        A scheduler built with ``family`` records (the serving path,
+        :mod:`repro.serve.service`) tries those first: a sibling optimum
+        that provably stays optimal is served without a solve
+        (:mod:`repro.sched.certify`). Otherwise the routine is solved
+        cold like any other, and its result carries its own record."""
         deadline = Deadline(self.features.time_limit)
         trace = obs.Trace()
         with trace.span("optimize", routine=fn.name) as root_span:
-            result = self._optimize_impl(fn, deadline, trace, length_hint)
+            result = self._optimize_impl(fn, deadline, trace)
             # Paper-metric analytics ride the trace (and, when recording,
             # the optimize span) so Table 1/2-shaped numbers survive the
             # pool fan-out and land in the Chrome trace for dashboards.
@@ -375,7 +370,7 @@ class IlpScheduler:
         self._publish_routine_metrics(result, trace, deadline)
         return result
 
-    def _optimize_impl(self, fn, deadline, trace, length_hint=None):
+    def _optimize_impl(self, fn, deadline, trace):
         features = self.features
         with trace.span("analyze"):
             work = clone_function(fn)
@@ -394,8 +389,7 @@ class IlpScheduler:
 
         def schedule():
             return self._schedule(
-                work, undo_stats, liveness, ddg, region, deadline, trace,
-                length_hint,
+                work, undo_stats, liveness, ddg, region, deadline, trace
             )
 
         if not features.swp:
@@ -423,8 +417,7 @@ class IlpScheduler:
         return result
 
     def _schedule(
-        self, work, undo_stats, liveness, ddg, region, deadline, trace,
-        length_hint,
+        self, work, undo_stats, liveness, ddg, region, deadline, trace
     ):
         """Input schedule, ILP pipeline and verification of the analyzed
         ``work``; the acyclic part of :meth:`optimize`."""
@@ -446,7 +439,7 @@ class IlpScheduler:
             if pieces is None:
                 pieces = self._run_pipeline(
                     work, region, input_schedule, deadline, messages, trace,
-                    length_hint=length_hint, family=self.family,
+                    family=self.family,
                 )
             verification = (
                 self._verify(pieces, region, messages, trace)
@@ -635,21 +628,20 @@ class IlpScheduler:
     # -- pipeline ---------------------------------------------------------------
     def _run_pipeline(
         self, work, region, input_schedule, deadline, messages, trace,
-        length_hint=None, family=None,
+        family=None,
     ):
         """Phase 1 + bundling-cut loop + phase 2; raises ``_Degrade`` when
         no ILP schedule can be produced within the budgets.
 
         With ``family`` (records of solved siblings, possibly none) the
-        run starts from its unhinted phase-1 model: a sibling optimum that
+        phase-1 model is built first: a sibling optimum that
         :mod:`repro.sched.certify` proves optimal for it is served with
-        no solve. Otherwise the run goes on as without, and records its
-        own optimum when that qualifies as a source."""
+        no solve. Otherwise that same model is solved as without, and the
+        run records its own optimum when that qualifies as a source."""
         features = self.features
-        lengths = unhinted = lengths_from_input(
+        lengths = lengths_from_input(
             input_schedule, work, reserve=features.reserve
         )
-        tightened = apply_length_hint(lengths, length_hint) if length_hint else None
         # The built (ilp, model) pair is cached across cut-loop re-solves:
         # a violated bundle only appends its cut rows to the existing model
         # (and its cached matrix form) instead of regenerating the whole
@@ -661,25 +653,14 @@ class IlpScheduler:
             with trace.span("ilp.build"):
                 ilp, spec_groups = self._build_ilp(region, lengths, [])
                 candidates = [r for r in family if certify.certifies(ilp, r)]
-                # The unhinted model is worth generating to check a
-                # candidate, or because it is the model solved below.
-                if candidates or tightened is None or tightened == lengths:
-                    model = ilp.generate()
-            if model is not None:
-                arrays = model.to_arrays()
-                digest = certify.feasible_digest(arrays)
-                reused = candidates and self._reuse_family(
-                    ilp, spec_groups, arrays, digest, candidates, messages,
-                    trace,
-                )
-                if reused:
-                    return reused
-        if tightened is not None:
-            if tightened != lengths:
-                ilp = model = None
-            lengths = tightened
-            trace.count("family_hint_applied")
-            messages.append("seeded cycle ranges from a cache-family near miss")
+                model = ilp.generate()
+            arrays = model.to_arrays()
+            digest = certify.feasible_digest(arrays)
+            reused = candidates and self._reuse_family(
+                ilp, spec_groups, arrays, digest, candidates, messages, trace,
+            )
+            if reused:
+                return reused
         bundling_cuts = []
         resize_attempts = 0
         bundle_retries = 0
@@ -858,7 +839,6 @@ class IlpScheduler:
         family_record = None
         if (
             digest is not None
-            and lengths == unhinted
             and not resize_attempts
             and not bundling_cuts
             and (phase2_applied or not features.two_phase)
@@ -890,9 +870,9 @@ class IlpScheduler:
         """The pipeline result served from a certified sibling optimum
         with no solve, or ``None``.
 
-        ``ilp`` is the generated unhinted phase-1 model, ``arrays`` its
-        matrix form, ``digest`` their feasible-set digest and ``family``
-        the sibling records :func:`certify.certifies` accepted. The phase-1
+        ``ilp`` is the generated phase-1 model, ``arrays`` its matrix
+        form, ``digest`` their feasible-set digest and ``family`` the
+        sibling records :func:`certify.certifies` accepted. The phase-1
         optimum is only read for its lengths and objective: with phase 2
         on, the schedule is rebuilt from the transplanted phase-2 optimum
         alone, and the phase-2 model is never built.
@@ -1025,33 +1005,6 @@ class IlpScheduler:
         _mark_collapsible_branches(ilp)
         _add_guard_dependences(ilp)
         return ilp, spec_groups
-
-
-def apply_length_hint(lengths, hint):
-    """Tighten initial cycle ranges toward a family near-miss's achieved
-    block lengths.
-
-    Applied only when the hint covers exactly the same block set — a
-    sibling with different blocks says nothing about this routine.  Each
-    hinted length only ever *shrinks* a range (``min``), so the model
-    never gets larger than the cold-start one.  A hint that leaves no
-    feasible schedule surfaces as INFEASIBLE and the growth ladder
-    recovers; but a hint can also be too tight and still feasible: it
-    then cuts off the cold optimum, and the solve proves optimality only
-    within the shrunken ranges, so a longer schedule ships labeled
-    ``optimal``.  Returns the tightened map, or ``None`` when the hint
-    is unusable.
-    """
-    try:
-        cleaned = {name: int(value) for name, value in hint.items()}
-    except (TypeError, ValueError, AttributeError):
-        return None
-    if set(cleaned) != set(lengths):
-        return None
-    return {
-        name: max(1, min(own, max(cleaned[name], 1)))
-        for name, own in lengths.items()
-    }
 
 
 def _phase1_size(ilp, solution):

@@ -59,7 +59,10 @@ from repro.ir.registers import Register
 # entries of older versions may carry a longer schedule marked optimal.
 # serve-9: the greedy-global input scheduler was removed; baseline left
 # ScheduleFeatures.
-CODE_VERSION = "serve-9"
+# serve-10: the block-length hint was removed; a family request that no
+# sibling certifies is solved cold on its own model, so no entry is a
+# hinted answer, and headers no longer carry block_lengths.
+CODE_VERSION = "serve-10"
 
 # ScheduleFeatures fields that steer the *solver*, not the model: two
 # requests differing only here want the same schedule, so they share a
@@ -68,8 +71,8 @@ CODE_VERSION = "serve-9"
 SOLVER_ONLY_FEATURES = frozenset({
     "time_limit",
     "verify",
-    # Decomposition partitions the *search*, aiming at the same schedule:
-    # family hints (achieved block lengths) transfer across the switch.
+    # Decomposition partitions the *search*, aiming at the same schedule,
+    # so decomposed and whole-function answers are family siblings.
     # Exact keys still differ — features_dict(family=False) keeps every
     # field — so decomposed and whole-function answers never alias.
     "decompose",

@@ -21,17 +21,15 @@ service resolves it through four layers, cheapest first:
    itself.
 3. **Family reuse** — on a miss, the coarse family fingerprint finds
    near-miss siblings.  The scheduler first builds the request's
-   unhinted phase-1 model; when its feasible set is byte-identical to
-   an eligible sibling's and the sibling's optimum provably stays
-   optimal under the request's block frequencies
-   (:mod:`repro.sched.certify`), that optimum and its phase-2 optimum
-   are served with no solve — an exact answer.  Eligible siblings were
-   solved to optimality on their unhinted model with no bundling cut or
-   range growth; their stored header carries the record.  Otherwise
-   the freshest sibling's achieved block lengths seed the cycle ranges
-   of the cold solve (``length_hint`` on :meth:`IlpScheduler.optimize`),
-   shrinking the ILP without ever widening it; such a hint can cut off
-   the cold optimum, so that answer is not guaranteed optimal.
+   phase-1 model; when its feasible set is byte-identical to an
+   eligible sibling's and the sibling's optimum provably stays optimal
+   under the request's block frequencies (:mod:`repro.sched.certify`),
+   that optimum and its phase-2 optimum are served with no solve — an
+   exact answer.  Eligible siblings were solved to optimality on their
+   own model with no bundling cut or range growth; their stored header
+   carries the record.  Otherwise the request is solved cold on that
+   same model, exactly as without siblings, and its entry carries its
+   own record when it qualifies.
 4. **Cold solve** — admission-controlled by a semaphore sized against
    the machine (the same budget reasoning as the
    :mod:`repro.tools.parallel` process pool: more concurrent solves
@@ -385,18 +383,20 @@ class ScheduleService:
             self._observe("exact", outcome.elapsed)
             return outcome
 
-        hint, records = self._family_siblings(key, family)
-        kind = "family" if hint or records else "miss"
+        siblings = self._family_siblings(key, family)
+        kind = "family" if siblings else "miss"
+        records = [
+            header["family_record"] for header in siblings
+            if _well_formed(header.get("family_record"))
+        ]
         result, solved_features = self._cold_solve(
-            fn, limited, hint, records, started
+            fn, limited, records, started
         )
         certified = result.trace.counters.get("family_certified", 0) > 0
         if certified:
             notes.append("served from a certified family sibling")
             if obs.ENABLED:
                 obs.counter("cache_family_certified_total")
-        elif hint:
-            notes.append("cycle ranges seeded from a family near miss")
         stored = self._maybe_store(
             key, family, result, solved_features, notes,
             tightened=limited is not features,
@@ -484,13 +484,12 @@ class ScheduleService:
         return result
 
     def _family_siblings(self, key, family):
-        """``(hint, records)`` from the family's stored siblings: the
-        freshest sibling's achieved block lengths (or ``None``) and every
-        sibling's :mod:`repro.sched.certify` record, freshest first."""
+        """Headers of the family's stored current-version siblings,
+        freshest first."""
         try:
             members = self.store.family_members(family)
         except OSError:
-            return None, []
+            return []
         siblings = []
         for member in members:
             if member == key:
@@ -499,25 +498,13 @@ class ScheduleService:
             if header and header.get("code_version") == CODE_VERSION:
                 siblings.append(header)
         siblings.sort(key=lambda header: header.get("created", 0), reverse=True)
-        hint = next(
-            (
-                header["block_lengths"] for header in siblings
-                if isinstance(header.get("block_lengths"), dict)
-                and header["block_lengths"]
-            ),
-            None,
-        )
-        records = [
-            header["family_record"] for header in siblings
-            if _well_formed(header.get("family_record"))
-        ]
-        return hint, records
+        return siblings
 
-    def _cold_solve(self, fn, features, hint, records, started):
+    def _cold_solve(self, fn, features, records, started):
         """Admission-controlled solve; queue wait burns request budget.
 
-        ``records`` are the family siblings' certificate records (see
-        :meth:`_family_siblings`)."""
+        ``records`` are the family siblings' :mod:`repro.sched.certify`
+        records, freshest first."""
         with obs.span("serve.solve", routine=fn.name):
             budget = features.time_limit
             self._queued += 1
@@ -541,7 +528,7 @@ class ScheduleService:
                 if obs.ENABLED:
                     obs.counter("serve_admission_timeouts_total")
                 features = replace(features, time_limit=1e-6)
-                return self._optimize(fn, features, hint, None), features
+                return self._optimize(fn, features, None), features
             try:
                 if budget is not None:
                     remaining = max(
@@ -549,15 +536,15 @@ class ScheduleService:
                     )
                     features = replace(features, time_limit=remaining)
                 self.solves += 1
-                return self._optimize(fn, features, hint, records), features
+                return self._optimize(fn, features, records), features
             finally:
                 self._solve_slots.release()
 
-    def _optimize(self, fn, features, hint, records):
+    def _optimize(self, fn, features, records):
         scheduler = IlpScheduler(
             machine=self.machine, features=features, family=records
         )
-        return scheduler.optimize(fn, length_hint=hint)
+        return scheduler.optimize(fn)
 
     def _maybe_store(self, key, family, result, features, notes,
                      tightened=False):
@@ -582,15 +569,10 @@ class ScheduleService:
         except Exception as exc:
             notes.append(f"not cached (unpicklable result: {exc})")
             return False
-        schedule = result.output_schedule
         meta = {
             "code_version": CODE_VERSION,
             "routine": result.fn.name,
             "quality": result.quality,
-            "block_lengths": {
-                name: schedule.block_length(name)
-                for name in schedule.block_order
-            },
             "solve_seconds": result.ilp_size.get("time"),
             "time_limit": features.time_limit,
         }

@@ -157,7 +157,8 @@ class ScheduleStore:
         """Publish ``payload`` under ``key``; returns the header dict.
 
         ``meta`` is extra JSON-able serving metadata folded into the
-        header (routine, quality, block_lengths, solve_seconds...).  An
+        header (code_version, routine, quality, solve_seconds,
+        time_limit, family_record).  An
         injected ``serve.store_io`` fault (or a real I/O error) raises
         ``OSError`` — callers treat a failed put as a skipped cache
         fill, never as a request failure.
@@ -329,8 +330,8 @@ class ScheduleStore:
 
     def load_header(self, key):
         """Header dict only (no payload checksum walk); ``None`` on miss
-        or any validation failure.  Used for family warm-start metadata,
-        where a bad sibling simply means no hint."""
+        or any validation failure.  Used for family sibling records,
+        where a bad sibling simply means no record."""
         resident = self._mem.get(key)
         if resident is not None:
             return resident.header

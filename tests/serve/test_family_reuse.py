@@ -2,15 +2,17 @@
 
 A profile variant — the same routine with one block's frequency changed
 — is served from a stored sibling's optimum with no solve only when the
-certificate proves that optimum is still optimal:
+certificate proves that optimum is still optimal; otherwise it is solved
+cold on its own model:
 
-* every certified answer is exactly as good as a cold solve,
+* every family answer, certified or not, is exactly as good as a cold
+  solve,
 * a certified answer needs no solver at all and still re-verifies,
-* siblings that were solved on hinted ranges, needed a bundling cut, or
-  are not ``optimal`` never serve as a source, and a variant whose
-  raised block sits above its lower bound takes the hint path,
-* the ``serve_mix`` variants whose hinted answers were once longer than
-  cold do not certify, and two that certify stay certified.
+* siblings that needed a bundling cut or are not ``optimal`` never serve
+  as a source, and a variant whose raised block sits above its lower
+  bound is solved cold and becomes a source itself,
+* the ``serve_mix`` variants whose answers were once longer than cold
+  do not certify yet match cold, and two that certify stay certified.
 """
 
 import tempfile
@@ -91,11 +93,10 @@ def test_certified_variant_matches_cold_solve(seed, block, factor):
         served = service.request(parse_function(variant))
     assert served.kind == "family"
     assert served.result.verification.ok
-    if served.certified:
-        cold = optimize_function(parse_function(variant), FEATURES)
-        assert cold.quality == "optimal"
-        assert served.result.quality == "optimal"
-        assert served.result.weighted_length_out == cold.weighted_length_out
+    cold = optimize_function(parse_function(variant), FEATURES)
+    assert cold.quality == "optimal"
+    assert served.result.quality == "optimal"
+    assert served.result.weighted_length_out == cold.weighted_length_out
 
 
 # -- (b) no solver call ----------------------------------------------------------
@@ -130,7 +131,7 @@ def test_certified_variant_needs_no_solver(svc, monkeypatch):
 def _solved_without_record(svc, fn):
     """Serve ``fn`` cold; its entry must carry no certificate record, and
     a same-profile request under another time limit (which a record
-    would certify) must take the hint path."""
+    would certify) must be solved cold."""
     cold = svc.request(fn)
     assert cold.kind == "miss"
     header = svc.store.load_header(cold.key)
@@ -140,17 +141,6 @@ def _solved_without_record(svc, fn):
     assert warm.kind in ("family", "miss")
     assert not warm.certified
     return cold
-
-
-def test_hinted_sibling_is_not_a_source(straight_fn):
-    lengths = {"A": 1}  # tighter than the input's length plus reserve
-    result = IlpScheduler(features=FEATURES, family=[]).optimize(
-        straight_fn, length_hint=lengths
-    )
-    assert result.trace.counters.get("family_hint_applied") == 1
-    assert result.family_record is None
-    unhinted = IlpScheduler(features=FEATURES, family=[]).optimize(straight_fn)
-    assert unhinted.family_record is not None
 
 
 def test_bundling_cut_sibling_is_not_a_source(svc, straight_fn, monkeypatch):
@@ -182,15 +172,22 @@ def test_unproven_sibling_is_not_a_source(svc, straight_fn, spec, quality):
     assert cold.result.quality == quality
 
 
-def test_raised_block_above_its_lower_bound_takes_the_hint_path(svc):
+def test_uncertified_variant_is_solved_cold_and_becomes_a_source(svc):
     # svc3~v1 raises B2, which the base optimum keeps above its bound.
-    served, _ = _serve_variant(svc, _svc(3), 1)
+    served, variant = _serve_variant(svc, _svc(3), 1)
     assert served.kind == "family"
     assert not served.certified
-    assert served.result.trace.counters.get("family_hint_applied") == 1
-    assert "cycle ranges seeded from a family near miss" in served.notes
-    # Its ranges were hinted, so its own entry is no source either.
-    assert "family_record" not in svc.store.load_header(served.key)
+    assert served.result.trace.counters.get("family_certified", 0) == 0
+    assert served.result.quality == "optimal"
+    # Solved cold on its own model, so its entry is a source in turn: the
+    # same profile under another time limit is served from it.
+    assert svc.store.load_header(served.key)["family_record"]
+    again = svc.request(
+        parse_function(variant), ScheduleFeatures(time_limit=31, max_hops=4)
+    )
+    assert again.kind == "family"
+    assert again.certified
+    assert again.result.weighted_length_out == served.result.weighted_length_out
 
 
 def test_certificate_conditions(diamond_fn, monkeypatch):
@@ -243,7 +240,6 @@ def test_tampered_record_is_never_trusted(svc, tamper):
     _, payload = svc.store.get(base.key)
     meta = {
         "code_version": header["code_version"],
-        "block_lengths": header["block_lengths"],
         "family_record": tamper(header["family_record"]),
     }
     svc.store.put(base.key, base.family, payload, meta)
@@ -256,13 +252,13 @@ def test_tampered_record_is_never_trusted(svc, tamper):
 # -- (d) serve_mix pins ----------------------------------------------------------
 @pytest.mark.parametrize(
     "routine,index,certified",
-    [(3, 1, False), (5, 1, False), (11, 0, False), (0, 0, True), (1, 0, True)],
-    ids=["svc3~v1", "svc5~v1", "svc11~v0", "svc0~v0", "svc1~v0"],
+    [(3, 1, False), (4, 1, False), (5, 1, False), (11, 0, False),
+     (0, 0, True), (1, 0, True)],
+    ids=["svc3~v1", "svc4~v1", "svc5~v1", "svc11~v0", "svc0~v0", "svc1~v0"],
 )
 def test_serve_mix_variant_certification(svc, routine, index, certified):
     served, variant = _serve_variant(svc, _svc(routine), index)
     assert served.kind == "family"
     assert served.certified is certified
-    if certified:
-        cold = optimize_function(parse_function(variant), FEATURES)
-        assert served.result.weighted_length_out == cold.weighted_length_out
+    cold = optimize_function(parse_function(variant), FEATURES)
+    assert served.result.weighted_length_out == cold.weighted_length_out

@@ -259,14 +259,14 @@ GOLDEN = [
     (
         generate_routine,
         RoutineSpec(name="g0", seed=0, instructions=12, blocks=3),
-        "9e00946e9f4b7d8088b5a42df151222ac12e0ff17432f7fd601b456f9b337496",
-        "4a38d1b12db2e4d0e8f0809c3abaf6a3e3f11df4aa76e94f5593dbf3fb3c86cc",
+        "31f27d0179e9b4eef306021a8031f0034ea69dd9b5166c13ec8f0ca0f3785279",
+        "a00f4929188e0a762dae380ea69db0913724e858e000e21f5accb310feed32a6",
     ),
     (
         generate_routine,
         RoutineSpec(name="g1", seed=1),
-        "26d35ad758dca880b0887ecd322633fdce8e8d2da60220595d4de903d73aa089",
-        "a64a90a30af9cf221d2764e60856c3c86a9b458abd1672562c49518bfe348938",
+        "e4c07419848f3766f963ffdaeab4ec5ffbb117878ac827828edffdb951168bf0",
+        "99a6cceafcd7d09bdfc679d6220a0808d4b181a60280a409c4ce648dab7a24bb",
     ),
     (
         generate_routine,
@@ -274,20 +274,20 @@ GOLDEN = [
             name="g2", seed=2, instructions=40, blocks=6, loops=2,
             input_spec_loads=2,
         ),
-        "2fb08e26060758c8bb10a8a5df1e8d78c08713c357eec114e56d220ee3098a10",
-        "687d1dae1b2f41c5b810609e0611b2d6db93621a602a4efb3f296d5328d37bfc",
+        "a0d2445db878dbc3ad827b0e31b1e7d765a817036836ecf987499a8ead79dc24",
+        "25a835f400e6b6da3f357b68009d16ba1ba0a25bec0aaa72930ca809cbd5ceae",
     ),
     (
         generate_routine,
         RoutineSpec(name="g3", seed=3, instructions=150, blocks=16),
-        "c05cb737e959adb33dd7ba48b2ffff9f71c149daa684901cf0780a798afcace0",
-        "9a0514519fe7b9bda9168659d054ed5859a7c2f055e288db3baf907533130b99",
+        "65a67e23cb0f4a0570500b39df884b0fd1ab0a9a7d2c84edefb52496229ee823",
+        "c72ffbf19b0f181e0acc3dc72bd3bbd54a3bebd88580bbfe626822a0abcac30c",
     ),
     (
         generate_loop_dominated,
         LoopDominatedSpec(name="g4", seed=4),
-        "16bc2235f79c6b130fec764fdbb4b09197a30f19797ddae073ad7b9555ce69f9",
-        "baba96550962fd8f436fce36808e00166e77a6d8fcb2cb92042455240bd00c01",
+        "c89f56a7bdce211b15d5dbaac1ba8a4238a0c8134009142d989bd3e92e1b9a33",
+        "a0a0e62ecec3af357b5cb2f370ab14fd54f9362feb7bd539d3bba99c3f4f7c7a",
     ),
     (
         generate_multi_region,
@@ -295,8 +295,8 @@ GOLDEN = [
             name="g5", seed=5, segments=3, segment_instructions=14,
             segment_blocks=5,
         ),
-        "ff98f20d2f8a67bcfb73e5d1873828f8ba01c79bee108525b0dfdbc90904f14c",
-        "51c4c2c4572174f164a2cdfa2759d79645f572ad2075e5fafc6e859e4fcef3d1",
+        "ff0757b11bcfc4a88d07e461f3e890c01c64a36bd104717598d9dc954364fc15",
+        "3c594c100771aec3a425da4d26fac13003975454e28d337673f8f2a5a3812531",
     ),
 ]
 

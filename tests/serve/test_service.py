@@ -89,9 +89,9 @@ def test_coalescing_single_flight(svc, straight_fn):
     real_scheduler = service_mod.IlpScheduler
 
     class SlowScheduler(real_scheduler):
-        def optimize(self, fn, length_hint=None):
+        def optimize(self, fn):
             release.wait(timeout=30)
-            return super().optimize(fn, length_hint=length_hint)
+            return super().optimize(fn)
 
     outcomes = []
     lock = threading.Lock()
@@ -565,9 +565,9 @@ def test_deadline_degraded_result_not_stored(svc, straight_fn, monkeypatch):
     limits = []
 
     class IncumbentScheduler(real_scheduler):
-        def optimize(self, fn, length_hint=None):
+        def optimize(self, fn):
             limits.append(self.features.time_limit)
-            result = super().optimize(fn, length_hint=length_hint)
+            result = super().optimize(fn)
             return replace(result, quality="incumbent")
 
     monkeypatch.setattr(service_mod, "IlpScheduler", IncumbentScheduler)
@@ -593,12 +593,12 @@ class _GatedScheduler:
         gated = self
 
         class Scheduler(real):
-            def optimize(self, fn, length_hint=None):
+            def optimize(self, fn):
                 limit = self.features.time_limit
                 gated.limits.append(limit)
                 if hold(limit):
                     gated.release.wait(timeout=30)
-                result = super().optimize(fn, length_hint=length_hint)
+                result = super().optimize(fn)
                 if limit <= degrade_at:
                     result = replace(result, quality="incumbent")
                 return result
